@@ -1,15 +1,15 @@
-"""Microbenchmarks: naive crypto paths vs the ``repro.fastpath`` kernels.
+"""Microbenchmarks: textbook crypto loops vs the ``repro.fastpath`` kernels.
 
 Times the three hot operations the fastpath layer accelerates — Pedersen
-commit, Pedersen verify, and VSS share verification — with the kernels
-enabled (warm fixed-base tables, Horner ladder) and disabled (the plain
-``pow``-per-term code paths), at the security levels where the speedup
-is supposed to pay for itself.  A second section times the RLC batch
-verifiers (``verify_batch`` / ``verify_shares``) against per-item loops
-over the *fastpath* paths at m = :data:`BATCH` items.  Records
-everything as ``results/BENCH_fastpath.json`` — including which crypto
-``backend`` produced the numbers — and fails if any measured speedup
-falls below its budget ratio.
+commit, Pedersen verify, and VSS share verification — through the
+production path (warm fixed-base tables, Horner ladder) and through the
+test oracles in ``tests/crypto_oracles.py`` (one plain ``pow`` per
+term), at the security levels where the speedup is supposed to pay for
+itself.  A second section times the RLC batch verifiers
+(``verify_batch`` / ``verify_shares``) against per-item loops over the
+production paths at m = :data:`BATCH` items.  Records everything as
+``results/BENCH_fastpath.json`` and fails if any measured speedup falls
+below its budget ratio.
 
 The two legs compute bit-identical values (asserted here per operation;
 the equivalence argument lives in DESIGN.md and the property tests in
@@ -29,31 +29,26 @@ import os
 import random
 import time
 
+from tests import crypto_oracles as oracles
+
 from repro import fastpath
-from repro.crypto.backend import active as active_backend
 from repro.crypto.commitment import PedersenCommitment, PedersenParameters
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.vss import FeldmanVSS, PedersenVSS
 
 SECURITY_LEVELS = (48, 64)
-#: Minimum naive/fast wall-clock ratio per operation (the perf contract).
+#: Minimum oracle/fast wall-clock ratio per operation (the perf contract).
 BUDGETS = {
     "pedersen_commit": 2.0,
     "pedersen_verify": 2.0,
     "vss_verify": 2.0,
 }
-#: Minimum batched/per-item wall-clock ratio per batch family, on the
-#: pure-python reference backend (where the perf contract is pinned).
+#: Minimum batched/per-item wall-clock ratio per batch family.
 BATCH_BUDGETS = {
     "pedersen_openings": 1.2,
     "feldman_shares": 3.0,
     "pedersen_vss_shares": 3.0,
 }
-#: Budget relaxation on accelerated backends: gmpy2 shrinks the naive
-#: per-item cost too (native powmod), so the batch *ratio* legitimately
-#: compresses even as both absolute times drop.  The batch must still
-#: win, just not by the pure-python margin.
-ACCELERATED_BUDGET_FACTOR = 0.5
 BATCH = 64
 REPS = 5
 ARTIFACT = os.path.join(
@@ -76,8 +71,9 @@ def _time_batch(op, batch):
 def _workloads(bits):
     """The benchmarked operations for one security level.
 
-    Returns ``{name: (op, batch)}`` where each op returns a comparable
-    value so the naive and fast legs can be checked for equality.
+    Returns ``{name: (naive_op, fast_op, batch)}``: the oracle leg and the
+    production leg, each returning a comparable value so the two can be
+    checked for equality.
     """
     rng = random.Random(bits * 7919)
     group = SchnorrGroup.for_security(bits)
@@ -94,16 +90,23 @@ def _workloads(bits):
     ]
     shares = [dealing.shares[1 + (i % 8)] for i in range(BATCH)]
 
+    def naive_vss_verify(share):
+        expected = oracles.vss_expected(group, dealing.commitments, share.x)
+        return oracles.group_exp(group.generator, share.value.value) == expected
+
     return {
         "pedersen_commit": (
+            lambda mr: oracles.pedersen_commit(params, *mr).value,
             lambda mr: scheme.commit_with_randomness(*mr).value,
             commit_inputs,
         ),
         "pedersen_verify": (
+            lambda cmo: oracles.pedersen_commit(params, cmo[1], cmo[2]) == cmo[0],
             lambda cmo: scheme.commit_with_randomness(cmo[1], cmo[2]) == cmo[0],
             openings,
         ),
         "vss_verify": (
+            naive_vss_verify,
             lambda share: vss.verify_share(dealing.commitments, share),
             shares,
         ),
@@ -168,25 +171,21 @@ def _batch_workloads(bits):
 
 
 def test_bench_fastpath_budgets():
-    """Fastpath kernels must beat the naive paths by their budget ratios."""
-    budget_factor = 1.0 if active_backend().name == "python" else (
-        ACCELERATED_BUDGET_FACTOR
-    )
+    """Fastpath kernels must beat the oracle loops by their budget ratios."""
     measurements = {}
     failures = []
     for bits in SECURITY_LEVELS:
         workloads = _workloads(bits)
         measurements[str(bits)] = {}
-        for name, (op, batch) in workloads.items():
-            with fastpath.disabled():
-                naive_values = [op(item) for item in batch]
-                naive_ns = _time_batch(op, batch)
+        for name, (naive_op, fast_op, batch) in workloads.items():
+            naive_values = [naive_op(item) for item in batch]
+            naive_ns = _time_batch(naive_op, batch)
             fastpath.clear_caches()
-            fast_values = [op(item) for item in batch]  # warm-up: builds tables
-            fast_ns = _time_batch(op, batch)
+            fast_values = [fast_op(item) for item in batch]  # warm-up: builds tables
+            fast_ns = _time_batch(fast_op, batch)
             assert fast_values == naive_values, f"{name}@{bits}: values diverged"
             speedup = naive_ns / fast_ns if fast_ns else float("inf")
-            budget = round(BUDGETS[name] * budget_factor, 3)
+            budget = BUDGETS[name]
             measurements[str(bits)][name] = {
                 "naive_ns_per_op": round(naive_ns, 1),
                 "fast_ns_per_op": round(fast_ns, 1),
@@ -206,7 +205,7 @@ def test_bench_fastpath_budgets():
             per_item_ns = _time_call(per_item)
             batched_ns = _time_call(batched)
             speedup = per_item_ns / batched_ns if batched_ns else float("inf")
-            budget = round(BATCH_BUDGETS[family] * budget_factor, 3)
+            budget = BATCH_BUDGETS[family]
             batch_measurements[str(bits)][family] = {
                 "items": BATCH,
                 "per_item_ns": per_item_ns,
@@ -221,7 +220,6 @@ def test_bench_fastpath_budgets():
                 )
 
     artifact = {
-        "backend": active_backend().name,
         "batch": BATCH,
         "batch_budgets": BATCH_BUDGETS,
         "batch_verify": batch_measurements,

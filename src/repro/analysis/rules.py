@@ -51,10 +51,6 @@ ENV_SEAM_ALLOWLIST: Mapping[str, str] = {
         "worker warm-start replays the captured environment; the shm-table"
         " gate only moves setup cost, never a computed value"
     ),
-    "repro.crypto.backend": (
-        "capture_backend_env/apply_backend_env — the crypto-backend seam"
-        " itself; shards replay the coordinator's backend choice"
-    ),
 }
 
 #: DET001 — no module is allowed ambient randomness; the empty allowlist is
@@ -640,12 +636,12 @@ class ScenarioBypassesSchema(Rule):
 class ModularPowOutsideCrypto(Rule):
     """CRY001 — modular exponentiation outside the crypto/fastpath seam.
 
-    Three-argument ``pow(base, exp, mod)`` (and raw ``gmpy2.powmod``) is
-    group arithmetic that bypasses :meth:`GroupElement.__pow__` and the
-    backend seam: it skips exponent normalization, the ``crypto.group.exp``
-    cost counter, the fixed-base table cache, *and* the configured backend
-    — so a call site outside ``repro.crypto`` / ``repro.fastpath`` silently
-    re-opens the per-callsite arithmetic the seam was built to close.
+    Three-argument ``pow(base, exp, mod)`` is group arithmetic that
+    bypasses :meth:`GroupElement.__pow__`: it skips exponent
+    normalization, the ``crypto.group.exp`` cost counter and the
+    fixed-base table cache — so a call site outside ``repro.crypto`` /
+    ``repro.fastpath`` silently re-opens the per-callsite arithmetic the
+    kernels were built to close.
     Protocol and experiment code must go through ``GroupElement`` (or a
     fastpath kernel); non-group modular arithmetic opts out inline with a
     justified ``# repro: allow[CRY001]``.
@@ -653,8 +649,8 @@ class ModularPowOutsideCrypto(Rule):
 
     id = "CRY001"
     severity = SEVERITY_ERROR
-    title = "modular exponentiation bypasses the crypto backend seam"
-    rationale = "pow(b, e, m) outside crypto/fastpath skips counters, tables, and the backend"
+    title = "modular exponentiation bypasses the crypto kernels"
+    rationale = "pow(b, e, m) outside crypto/fastpath skips counters and tables"
 
     _SEAM_PREFIXES = ("repro.crypto", "repro.fastpath")
 
@@ -671,13 +667,7 @@ class ModularPowOutsideCrypto(Rule):
                     ctx, call,
                     "3-argument pow() is modular exponentiation — route it"
                     " through GroupElement.__pow__ / repro.fastpath so the"
-                    " backend seam, tables, and cost counters apply",
-                )
-            elif name in ("gmpy2.powmod", "gmpy2.invert"):
-                yield self.finding(
-                    ctx, call,
-                    f"raw {name}() outside the backend seam — only"
-                    " repro.crypto.backend may touch gmpy2 directly",
+                    " tables and cost counters apply",
                 )
 
 

@@ -91,27 +91,27 @@ class PedersenCommitment:
         return self.commit_with_randomness(message, randomness), Opening(message, randomness)
 
     def commit_with_randomness(self, value: int, randomness: int) -> GroupElement:
+        """``g**value * h**randomness`` via the fixed-base tables for g and h.
+
+        Charged at its logical cost: two exponentiations and one
+        multiplication.
+        """
         params = self.parameters
         group = self.group
-        if fastpath.enabled():
-            # Same value as the naive path below, via the fixed-base tables
-            # for g and h; mirror its logical cost (two exponentiations and
-            # one multiplication) so cost artifacts stay identical.
-            if _obs.metrics is not None:
-                _obs.metrics.inc("crypto.group.exp", 2)
-                _obs.metrics.inc("crypto.group.mul")
-            return GroupElement(
-                group,
-                fastpath.pedersen_commit(
-                    group.p,
-                    group.q,
-                    params.g.value,
-                    params.h.value,
-                    group.normalize_exponent(value),
-                    group.normalize_exponent(randomness),
-                ),
-            )
-        return (params.g ** (int(value) % group.q)) * (params.h ** (randomness % group.q))
+        if _obs.metrics is not None:
+            _obs.metrics.inc("crypto.group.exp", 2)
+            _obs.metrics.inc("crypto.group.mul")
+        return GroupElement(
+            group,
+            fastpath.pedersen_commit(
+                group.p,
+                group.q,
+                params.g.value,
+                params.h.value,
+                group.normalize_exponent(value),
+                group.normalize_exponent(randomness),
+            ),
+        )
 
     def verify(self, commitment: GroupElement, opening: Opening) -> bool:
         try:
@@ -126,14 +126,14 @@ class PedersenCommitment:
         """Per-pair verdicts, batched: one RLC multi-exp instead of m commits.
 
         Equivalent to ``[self.verify(c, o) for c, o in pairs]`` including
-        the mirrored ``crypto.*`` counter totals.  A batch accept vouches
+        the charged ``crypto.*`` counter totals.  A batch accept vouches
         for every pair (soundness error ~2**-COMBINER_BITS, see
         :mod:`repro.fastpath.batch`); a batch reject falls back to silent
         per-item kernel checks for exact individual verdicts.
         """
         pairs = list(pairs)
         count = len(pairs)
-        if count < BATCH_MIN_OPENINGS or not fastpath.enabled():
+        if count < BATCH_MIN_OPENINGS:
             return [self.verify(commitment, opening) for commitment, opening in pairs]
         group = self.group
         params = self.parameters
@@ -162,8 +162,8 @@ class PedersenCommitment:
                         value, randomness,
                     )
         if _obs.metrics is not None:
-            # Mirror the naive per-pair cost of commit_with_randomness
-            # (two exponentiations and one multiplication each).
+            # The per-pair cost of commit_with_randomness (two
+            # exponentiations and one multiplication each).
             _obs.metrics.inc("crypto.group.exp", 2 * count)
             _obs.metrics.inc("crypto.group.mul", count)
         return [bool(v) for v in verdicts]

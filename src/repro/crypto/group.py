@@ -111,9 +111,7 @@ class GroupElement:
         exp = group.normalize_exponent(exponent)
         if _obs.metrics is not None:
             _obs.metrics.inc("crypto.group.exp")
-        if fastpath.enabled():
-            return GroupElement(group, fastpath.pow_mod(group.p, group.q, self.value, exp))
-        return GroupElement(group, int(_backend.active().powmod(self.value, exp, group.p)))
+        return GroupElement(group, fastpath.pow_mod(group.p, group.q, self.value, exp))
 
     def inverse(self) -> "GroupElement":
         if _obs.metrics is not None:
@@ -195,7 +193,7 @@ class SchnorrGroup:
         return GroupElement(self, reduced)
 
     def is_member(self, value: int) -> bool:
-        return 0 < value < self.p and int(_backend.active().powmod(value, self.q, self.p)) == 1
+        return 0 < value < self.p and _backend.active().powmod(value, self.q, self.p) == 1
 
     def normalize_exponent(self, exponent) -> int:
         """Reduce any exponent-like value (int, FieldElement, negative, >= q)

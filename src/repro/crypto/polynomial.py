@@ -165,23 +165,21 @@ def lagrange_coefficients_at_zero(
     the full interpolating polynomial.  Coefficient sets are memoized per
     ``(modulus, frozen point tuple)`` — reconstruction calls the same point
     sets over and over (every party, every dealing) — and a cache hit
-    charges the ``crypto.field.mul`` counter with exactly the naive loop's
-    multiplication count (``2m^2 - m`` for ``m`` points: two per ordered
-    pair plus one division each) so measured-cost artifacts are identical
-    with or without the cache.
+    charges the ``crypto.field.mul`` counter with exactly the computing
+    loop's multiplication count (``2m^2 - m`` for ``m`` points: two per
+    ordered pair plus one division each), so the logical cost does not
+    depend on cache warmth.
     """
     points = [field.element(x) for x in xs]
     if len({p.value for p in points}) != len(points):
         raise ShareError("duplicate x-coordinates")
     key = tuple(p.value for p in points)
-    use_cache = fastpath.enabled()
-    if use_cache:
-        cached = fastpath.lagrange_cache_get(field.modulus, key)
-        if cached is not None:
-            if _obs.metrics is not None:
-                m = len(points)
-                _obs.metrics.inc("crypto.field.mul", 2 * m * m - m)
-            return tuple(FieldElement(field, value) for value in cached)
+    cached = fastpath.lagrange_cache_get(field.modulus, key)
+    if cached is not None:
+        if _obs.metrics is not None:
+            m = len(points)
+            _obs.metrics.inc("crypto.field.mul", 2 * m * m - m)
+        return tuple(FieldElement(field, value) for value in cached)
     coefficients = []
     for i, xi in enumerate(points):
         numerator = field.one()
@@ -192,8 +190,5 @@ def lagrange_coefficients_at_zero(
             numerator = numerator * (-xj)
             denominator = denominator * (xi - xj)
         coefficients.append(numerator / denominator)
-    if use_cache:
-        fastpath.lagrange_cache_put(
-            field.modulus, key, tuple(c.value for c in coefficients)
-        )
+    fastpath.lagrange_cache_put(field.modulus, key, tuple(c.value for c in coefficients))
     return tuple(coefficients)

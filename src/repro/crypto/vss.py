@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .. import fastpath
 from ..errors import InvalidParameterError, ShareError
 from ..obs import runtime as _obs
-from .commitment import PedersenParameters
+from .commitment import PedersenCommitment, PedersenParameters
 from .field import FieldElement
 from .group import GroupElement, SchnorrGroup
 from .polynomial import lagrange_coefficients_at_zero
@@ -28,19 +28,18 @@ from .secret_sharing import ShamirSharing, Share
 
 
 #: Minimum batch size before the RLC batch-verification path kicks in;
-#: below this the per-item fastpath is at least as fast.
+#: below this the per-item kernels are at least as fast.
 BATCH_MIN_SHARES = 3
 
 
 def _expected_from_commitments(
     group: SchnorrGroup, commitments: Sequence[GroupElement], x: int
 ) -> GroupElement:
-    """``prod_j commitments[j] ** (x**j mod q)`` with mirrored cost counters.
+    """``prod_j commitments[j] ** (x**j mod q)``, charged at its logical cost.
 
-    The naive loop performs one exponentiation and one multiplication per
-    commitment; the fastpath kernel computes the identical product in one
-    pass (Horner / shared ladder), so the logical counts are charged here
-    in bulk to keep measured-cost artifacts bit-identical.
+    The kernel computes the product in one pass (Horner / shared ladder);
+    the cost model charges what the textbook loop performs — one
+    exponentiation and one multiplication per commitment.
     """
     if _obs.metrics is not None:
         _obs.metrics.inc("crypto.group.exp", len(commitments))
@@ -104,14 +103,7 @@ class FeldmanVSS:
             if _obs.metrics is not None:
                 _obs.metrics.inc("crypto.vss.shares_rejected")
             return False
-        if fastpath.enabled():
-            expected = _expected_from_commitments(self.group, commitments, share.x)
-        else:
-            expected = self.group.identity()
-            x_power = 1
-            for commitment in commitments:
-                expected = expected * (commitment ** x_power)
-                x_power = (x_power * share.x) % self.group.q
+        expected = _expected_from_commitments(self.group, commitments, share.x)
         ok = self.group.power(share.value.value) == expected
         if not ok and _obs.metrics is not None:
             _obs.metrics.inc("crypto.vss.shares_rejected")
@@ -123,7 +115,7 @@ class FeldmanVSS:
         """Per-share verdicts, batched: one RLC multi-exp instead of m checks.
 
         Equivalent to ``[self.verify_share(commitments, s) for s in shares]``
-        including the mirrored ``crypto.*`` counter totals — batching is a
+        including the charged ``crypto.*`` counter totals — batching is a
         cost optimization, not a semantics change.  A batch *accept* vouches
         for every share (soundness error ~2**-COMBINER_BITS, see
         :mod:`repro.fastpath.batch`); a batch *reject* falls back to silent
@@ -131,11 +123,7 @@ class FeldmanVSS:
         """
         shares = list(shares)
         count = len(shares)
-        if (
-            count < BATCH_MIN_SHARES
-            or not fastpath.enabled()
-            or len(commitments) != self.threshold + 1
-        ):
+        if count < BATCH_MIN_SHARES or len(commitments) != self.threshold + 1:
             return [self.verify_share(commitments, s) for s in shares]
         group = self.group
         generator = group.generator.value
@@ -153,7 +141,7 @@ class FeldmanVSS:
                 for x, value in zip(xs, values, strict=True)
             ]
         if _obs.metrics is not None:
-            # Mirror the naive per-share cost: threshold+2 exponentiations
+            # The per-share cost of verify_share: threshold+2 exponentiations
             # and threshold+1 multiplications each, plus the verdict counters.
             _obs.metrics.inc("crypto.vss.shares_verified", count)
             _obs.metrics.inc("crypto.group.exp", count * (self.threshold + 2))
@@ -198,6 +186,7 @@ class PedersenVSS:
     ):
         self.parameters = parameters
         self.group = parameters.group
+        self.scheme = PedersenCommitment(parameters)
         self.field = self.group.exponent_field
         self.sharing = ShamirSharing(self.field, threshold, parties)
         self.threshold = threshold
@@ -235,33 +224,8 @@ class PedersenVSS:
             if _obs.metrics is not None:
                 _obs.metrics.inc("crypto.vss.shares_rejected")
             return False
-        if fastpath.enabled():
-            expected = _expected_from_commitments(self.group, commitments, share.x)
-            # g**value * h**blinding through the fixed-base kernel; mirror
-            # the naive cost of two exponentiations and one multiplication.
-            if _obs.metrics is not None:
-                _obs.metrics.inc("crypto.group.exp", 2)
-                _obs.metrics.inc("crypto.group.mul")
-            actual = GroupElement(
-                self.group,
-                fastpath.pedersen_commit(
-                    self.group.p,
-                    self.group.q,
-                    self.parameters.g.value,
-                    self.parameters.h.value,
-                    self.group.normalize_exponent(share.value.value),
-                    self.group.normalize_exponent(share.blinding.value),
-                ),
-            )
-        else:
-            expected = self.group.identity()
-            x_power = 1
-            for commitment in commitments:
-                expected = expected * (commitment ** x_power)
-                x_power = (x_power * share.x) % self.group.q
-            actual = (self.parameters.g ** share.value.value) * (
-                self.parameters.h ** share.blinding.value
-            )
+        expected = _expected_from_commitments(self.group, commitments, share.x)
+        actual = self.scheme.commit_with_randomness(share.value.value, share.blinding.value)
         ok = actual == expected
         if not ok and _obs.metrics is not None:
             _obs.metrics.inc("crypto.vss.shares_rejected")
@@ -273,11 +237,7 @@ class PedersenVSS:
         """Per-share verdicts via RLC batching (see :meth:`FeldmanVSS.verify_shares`)."""
         shares = list(shares)
         count = len(shares)
-        if (
-            count < BATCH_MIN_SHARES
-            or not fastpath.enabled()
-            or len(commitments) != self.threshold + 1
-        ):
+        if count < BATCH_MIN_SHARES or len(commitments) != self.threshold + 1:
             return [self.verify_share(commitments, s) for s in shares]
         group = self.group
         g = self.parameters.g.value
@@ -297,7 +257,7 @@ class PedersenVSS:
                 for x, value, blinding in zip(xs, values, blindings, strict=True)
             ]
         if _obs.metrics is not None:
-            # Mirror the naive per-share cost: threshold+3 exponentiations
+            # The per-share cost of verify_share: threshold+3 exponentiations
             # and threshold+2 multiplications each, plus the verdict counters.
             _obs.metrics.inc("crypto.vss.shares_verified", count)
             _obs.metrics.inc("crypto.group.exp", count * (self.threshold + 3))

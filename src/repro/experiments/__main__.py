@@ -100,15 +100,6 @@ def main(argv=None) -> int:
         help="event-runtime omission policy, e.g. 'drop-all:1',"
         " 'drop-edges:1-2,3-4', or 'random:0.05'",
     )
-    parser.add_argument(
-        "--crypto-backend",
-        choices=["auto", "python", "gmpy2"],
-        default=None,
-        help="big-int arithmetic backend (default: the REPRO_CRYPTO_BACKEND"
-        " environment variable, else 'auto' — gmpy2 when importable, python"
-        " otherwise; backends are bit-identical, so this is purely a"
-        " wall-clock knob)",
-    )
     parser.add_argument("--scale", type=float, default=1.0, help="sample-size scale factor")
     parser.add_argument("--n", type=int, default=5, help="number of parties")
     parser.add_argument("--t", type=int, default=2, help="corruption bound")
@@ -166,18 +157,6 @@ def main(argv=None) -> int:
         os.environ[ENV_DELAY_MODEL] = args.delay_model
     if args.omission is not None:
         os.environ[ENV_OMISSION] = args.omission
-
-    if args.crypto_backend is not None:
-        # Same seam as --runtime: write the environment variable so the
-        # kernels resolve it lazily and the parallel engine ships it to
-        # pool shards, then fail fast if the choice is unavailable.
-        from ..crypto import backend as crypto_backend
-
-        os.environ[crypto_backend.ENV_BACKEND] = args.crypto_backend
-        try:
-            crypto_backend.configure(None)
-        except InvalidParameterError as exc:
-            parser.error(str(exc))
 
     config = ExperimentConfig(
         n=args.n,

@@ -1,19 +1,12 @@
-"""repro.fastpath — bit-identical performance kernels for the hot paths.
+"""repro.fastpath — the arithmetic kernels behind the crypto layer.
 
 The crypto layer (:mod:`repro.crypto.group`, ``commitment``, ``vss``,
-``polynomial``) routes its inner loops through this package when the
-fastpath is enabled (the default).  Every kernel computes *exactly* the
-same values as the naive code it replaces — see :mod:`.kernels` for the
-per-kernel equivalence argument and DESIGN.md §"fastpath" for the cache
-invalidation rules — and the call sites mirror the naive paths' logical
-``crypto.*`` counter increments, so experiment artifacts are identical
-with the fastpath on or off (``experiments.diffjson`` gates this in CI).
-
-Disable with ``REPRO_FASTPATH=0`` in the environment, or at runtime::
-
-    from repro import fastpath
-    with fastpath.disabled():
-        ...  # naive kernels, for A/B benchmarks
+``polynomial``) routes its inner loops through these kernels; there is no
+other path.  Every kernel computes *exactly* the value of the textbook
+formula it implements — see :mod:`.kernels` for the per-kernel
+equivalence argument and DESIGN.md §7 for the cache rules.  The
+textbook loops themselves live on as test oracles in
+``tests/crypto_oracles.py``.
 
 Telemetry: ``fastpath.stats()`` snapshots the process-local ``fastpath.*``
 counters (table hits/misses/builds, Horner vs ladder dispatch, Lagrange
@@ -24,8 +17,6 @@ ambient registry that experiment artifacts embed.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Any, Dict
 
 from ..crypto import backend as _backend
@@ -53,39 +44,20 @@ from .kernels import (  # noqa: F401  (re-exported kernel API)
     vss_expected,
 )
 
-# Import-time process switch, outside the shard capture seam by design: the
-# kernels are bit-identical to the naive path, so a worker resolving a
-# different value cannot move any artifact (diffjson gates this in CI).
-_ENABLED = os.environ.get("REPRO_FASTPATH", "1").strip().lower() not in ("0", "false", "off")  # repro: allow[ENV001]
-
 
 def enabled() -> bool:
-    """Whether the fastpath kernels are active in this process."""
-    return _ENABLED
+    """Always ``True``: the kernels are the only crypto path.
 
-
-def configure(enable: bool) -> None:
-    """Switch the fastpath on or off process-wide."""
-    global _ENABLED
-    _ENABLED = bool(enable)
-
-
-@contextmanager
-def disabled():
-    """Scope with the fastpath off (the naive reference path)."""
-    previous = _ENABLED
-    configure(False)
-    try:
-        yield
-    finally:
-        configure(previous)
+    Kept so configuration records that name the crypto path (benchmark
+    machine fingerprints) stay comparable across versions.
+    """
+    return True
 
 
 def stats() -> Dict[str, Any]:
     """A snapshot of the process-local ``fastpath.*`` telemetry counters."""
     snapshot = STATS.snapshot()
     snapshot["caches"] = cache_sizes()
-    snapshot["enabled"] = _ENABLED
     snapshot["backend"] = _backend.active().name
     return snapshot
 

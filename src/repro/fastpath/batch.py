@@ -23,12 +23,12 @@ Determinism: coefficients are derived by hashing the batch content
 *not* from the trial RNG stream, because existing call sites
 (``vss.reconstruct``) must not shift RNG consumption and move
 bit-identical artifacts.  Same batch, same coefficients, same verdict,
-on every backend and process topology.  Tests may inject an explicit
+on every process topology.  Tests may inject an explicit
 ``rng`` to exercise the combiner distribution.
 
 Telemetry lands in the process-local ``fastpath.batch.*`` counters
 (:data:`repro.fastpath.kernels.STATS`); the deterministic ``crypto.*``
-counters are mirrored by the *call sites* in :mod:`repro.crypto`, not
+counters are charged by the *call sites* in :mod:`repro.crypto`, not
 here.
 """
 
@@ -129,7 +129,7 @@ def _aggregate_commitment_exponents(
 ) -> List[int]:
     """``e_j = Σ_i γ_i * (x_i**j mod q) mod q`` for ``j < degree_plus_one``.
 
-    These mirror the per-item exponents of the naive share check
+    These mirror the per-item exponents of the textbook share check
     (``x**j mod q``), aggregated under the combiner — all small-int
     arithmetic, no group operations.
     """

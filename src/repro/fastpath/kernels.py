@@ -1,8 +1,9 @@
 """The arithmetic kernels behind :mod:`repro.fastpath`.
 
-Every kernel is an *exact integer identity* with the naive code path it
-replaces — no approximation, no probabilistic shortcut — so enabling the
-fastpath can never change a computed value:
+Every kernel is an *exact integer identity* with the textbook formula it
+implements — no approximation, no probabilistic shortcut — so a kernel
+can never change a computed value (``tests/crypto_oracles.py`` holds the
+textbook loops the property tests compare against):
 
 * **windowed fixed-base exponentiation** (:func:`pow_mod`): for a base
   ``b`` that keeps recurring (the group generator, the Pedersen ``h``),
@@ -22,8 +23,8 @@ fastpath can never change a computed value:
   pows instead of ``t+1`` full-width ones.  When ``x**t`` might reach
   ``q`` (or a base might lie outside the order-``q`` subgroup, where
   reduction is no longer harmless) the kernel falls back to
-  :func:`multi_pow` over the explicitly reduced exponents, which mirrors
-  the naive loop digit for digit.
+  :func:`multi_pow` over the explicitly reduced exponents, which follows
+  the textbook product digit for digit.
 
 Cache policy: tables are built per ``(p, base)`` after a base has been
 seen :data:`PROMOTION_THRESHOLD` times (or eagerly via
@@ -37,16 +38,13 @@ Telemetry lives in a dedicated process-local registry (``STATS``, a
 them into the ambient deterministic registry would break the
 serial-vs-parallel artifact equality that CI gates on.
 
-Backend seam: every primitive routes through the process-global
-:mod:`repro.crypto.backend` (pure-python reference by default, gmpy2
-when available).  Table entries and ladder accumulators are held in the
-backend's native big-int type; every kernel unwraps to ``int`` at its
-return boundary, so the two backends are observationally identical.
+Full-width exponentiations that miss the tables go through
+:func:`repro.crypto.backend.active`, looked up per call.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..crypto import backend as _backend
 from ..obs import Metrics
@@ -83,33 +81,22 @@ def clear_caches() -> None:
 def install_table(p: int, base: int, rows: Sequence[Sequence[int]]) -> bool:
     """Adopt a prebuilt fixed-base table (shared-memory warm start).
 
-    Rows come as plain ``int`` lists (the portable export format) and are
-    wrapped into the active backend's native type on the way in.  Returns
-    ``False`` without touching anything when the table is already
+    Returns ``False`` without touching anything when the table is already
     resident or the cache is full — a fork-inherited table wins over a
     replayed one.
     """
     key = (p, base % p)
     if key in _TABLES or len(_TABLES) >= MAX_TABLES:
         return False
-    wrap = _backend.active().wrap
-    _TABLES[key] = [[wrap(value) for value in row] for row in rows]
+    _TABLES[key] = [list(row) for row in rows]
     _USE_COUNTS.pop(key, None)
     STATS.inc("fastpath.table.installs")
     return True
 
 
 def export_tables() -> Dict[Tuple[int, int], List[List[int]]]:
-    """Every resident table as plain ``int`` rows (the portable format).
-
-    The inverse of :func:`install_table`: backend-native entries (gmpy2
-    ``mpz``) are unwrapped so the payload pickles small and installs
-    under *any* backend.
-    """
-    return {
-        key: [[int(value) for value in row] for row in rows]
-        for key, rows in _TABLES.items()
-    }
+    """Copies of every resident table (the inverse of :func:`install_table`)."""
+    return {key: [list(row) for row in rows] for key, rows in _TABLES.items()}
 
 
 def cache_sizes() -> Dict[str, int]:
@@ -123,21 +110,15 @@ def cache_sizes() -> Dict[str, int]:
 # -- fixed-base windowed exponentiation ---------------------------------------------
 
 
-def _build_table(p: int, base: int, exponent_bits: int) -> List[List[Any]]:
-    """Rows of ``base ** (d << (WINDOW * i)) mod p`` for all digits d.
-
-    Entries are backend-native (``int`` or ``mpz``) so the hot ladder in
-    :func:`pow_mod` multiplies in the backend's arithmetic throughout.
-    """
+def _build_table(p: int, base: int, exponent_bits: int) -> List[List[int]]:
+    """Rows of ``base ** (d << (WINDOW * i)) mod p`` for all digits d."""
     size = 1 << WINDOW
     digits = (exponent_bits + WINDOW - 1) // WINDOW
-    table: List[List[Any]] = []
-    wrap = _backend.active().wrap
-    one = wrap(1)
-    b = wrap(base % p)
+    table: List[List[int]] = []
+    b = base % p
     for _ in range(digits):
-        row = [one] * size
-        acc = one
+        row = [1] * size
+        acc = 1
         for d in range(1, size):
             acc = acc * b % p
             row[d] = acc
@@ -178,7 +159,7 @@ def pow_mod(p: int, q: int, base: int, exponent: int) -> int:
             if len(_USE_COUNTS) > 4 * MAX_TABLES:
                 _USE_COUNTS.clear()
             _USE_COUNTS[key] = count
-            return int(_backend.active().powmod(base, exponent, p))
+            return _backend.active().powmod(base, exponent, p)
     else:
         STATS.inc("fastpath.pow.table_hits")
     acc = 1
@@ -190,7 +171,7 @@ def pow_mod(p: int, q: int, base: int, exponent: int) -> int:
             acc = acc * table[i][digit] % p
         exponent >>= WINDOW
         i += 1
-    return int(acc)
+    return acc
 
 
 # -- simultaneous multi-exponentiation (Shamir's trick) -----------------------------
@@ -206,7 +187,7 @@ _MAX_SUBSET_BASES = 4
 _BUCKET_WINDOW = 4
 
 
-def _bucket_multi_pow(p: int, pairs: Sequence[Tuple[int, int]], wrap) -> int:
+def _bucket_multi_pow(p: int, pairs: Sequence[Tuple[int, int]]) -> int:
     """Yao's bucket method over ``pairs`` of ``(base, exponent)``.
 
     For each :data:`_BUCKET_WINDOW`-bit digit window (most significant
@@ -218,24 +199,23 @@ def _bucket_multi_pow(p: int, pairs: Sequence[Tuple[int, int]], wrap) -> int:
     width = _BUCKET_WINDOW
     digit_mask = (1 << width) - 1
     top = ((max(e.bit_length() for _, e in pairs) - 1) // width) * width
-    one = wrap(1)
-    acc = one
+    acc = 1
     for shift in range(top, -width, -width):
         if shift != top:
             for _ in range(width):
                 acc = acc * acc % p
-        buckets = [one] * (digit_mask + 1)
+        buckets = [1] * (digit_mask + 1)
         for base, exponent in pairs:
             digit = (exponent >> shift) & digit_mask
             if digit:
                 buckets[digit] = buckets[digit] * base % p
-        suffix = one
-        window = one
+        suffix = 1
+        window = 1
         for digit in range(digit_mask, 0, -1):
             suffix = suffix * buckets[digit] % p
             window = window * suffix % p
         acc = acc * window % p
-    return int(acc)
+    return acc
 
 
 def multi_pow(p: int, bases: Sequence[int], exponents: Sequence[int]) -> int:
@@ -255,24 +235,21 @@ def multi_pow(p: int, bases: Sequence[int], exponents: Sequence[int]) -> int:
     if len(bases) != len(exponents):
         raise ValueError("bases and exponents must have equal length")
     STATS.inc("fastpath.multiexp.calls")
-    backend = _backend.active()
     pairs = [(b % p, e) for b, e in zip(bases, exponents, strict=True) if e > 0]
     if not pairs:
         return 1 % p
-    wrap = backend.wrap
     if len(pairs) > _MAX_SUBSET_BASES:
-        return _bucket_multi_pow(p, pairs, wrap)
+        return _bucket_multi_pow(p, pairs)
     k = len(pairs)
     # Product of every base subset; each ladder step then costs at most
     # one multiplication on top of the shared squaring.
-    products: List[Any] = [1] * (1 << k)
+    products = [1] * (1 << k)
     for i, (b, _) in enumerate(pairs):
         bit = 1 << i
-        wrapped = wrap(b)
         for mask in range(bit):
-            products[bit | mask] = products[mask] * wrapped % p
+            products[bit | mask] = products[mask] * b % p
     exps = [e for _, e in pairs]
-    acc = wrap(1)
+    acc = 1
     for bit in range(max(e.bit_length() for e in exps) - 1, -1, -1):
         acc = acc * acc % p
         mask = 0
@@ -281,7 +258,7 @@ def multi_pow(p: int, bases: Sequence[int], exponents: Sequence[int]) -> int:
                 mask |= 1 << i
         if mask:
             acc = acc * products[mask] % p
-    return int(acc)
+    return acc
 
 
 # -- VSS share-check product --------------------------------------------------------
@@ -290,11 +267,11 @@ def multi_pow(p: int, bases: Sequence[int], exponents: Sequence[int]) -> int:
 def vss_expected(p: int, q: int, commitment_values: Sequence[int], x: int) -> int:
     """``prod_j commitment_values[j] ** (x**j mod q) mod p`` — exactly.
 
-    Mirrors the naive ``expected * commitment ** x_power`` loop of
-    :mod:`repro.crypto.vss` for every input, including commitment values
-    an adversary injects from outside the order-``q`` subgroup (where the
-    ``mod q`` reduction of the exponent is *not* harmless and Horner's
-    rule would diverge — those take the reduced-exponent ladder instead).
+    Equals the textbook ``expected * commitment ** x_power`` loop for
+    every input, including commitment values an adversary injects from
+    outside the order-``q`` subgroup (where the ``mod q`` reduction of
+    the exponent is *not* harmless and Horner's rule would diverge —
+    those take the reduced-exponent ladder instead).
     """
     values = [c % p for c in commitment_values]
     if not values:
@@ -304,14 +281,14 @@ def vss_expected(p: int, q: int, commitment_values: Sequence[int], x: int) -> in
         return values[0]
     x = int(x)
     if 0 <= x and x.bit_length() * degree < q.bit_length():
-        # x**degree < q, so every naive exponent x**j mod q == x**j and the
+        # x**degree < q, so every exponent x**j mod q == x**j and the
         # product telescopes via Horner's rule in the exponent.
         STATS.inc("fastpath.vss.horner")
         backend = _backend.active()
-        acc = backend.wrap(values[degree])
+        acc = values[degree]
         for value in reversed(values[:degree]):
             acc = backend.powmod(acc, x, p) * value % p
-        return int(acc)
+        return acc
     STATS.inc("fastpath.vss.ladder")
     exponents = []
     x_power = 1

@@ -20,7 +20,7 @@ Entry points:
   sweep and ``--faults``.
 """
 
-from .harness import FaultedProtocol, FaultyScheduler, with_faults
+from .harness import FaultedProtocol, with_faults
 from .injector import FaultInjector, FaultRecord, corrupt_payload
 from .library import STANDARD_PLANS, get_plan
 from .plan import CORRUPT_MODES, KINDS, CrashFault, FaultPlan, FaultRule
@@ -34,7 +34,6 @@ __all__ = [
     "FaultInjector",
     "FaultRecord",
     "FaultedProtocol",
-    "FaultyScheduler",
     "STANDARD_PLANS",
     "corrupt_payload",
     "get_plan",

@@ -1,11 +1,8 @@
-"""Convenience harnesses: a fault-wired scheduler and a protocol proxy.
+"""A protocol proxy that binds a fault plan into every run.
 
-:class:`FaultyScheduler` is :class:`repro.net.scheduler.Scheduler` with a
-:class:`~repro.faults.injector.FaultInjector` pre-wired — for callers that
-drive the scheduler directly.  Most code should instead go through
-:func:`repro.net.network.run_protocol` (``fault_plan=`` /
-``fault_seed=``) or wrap a protocol with :func:`with_faults`, which
-returns a proxy whose ``run`` / ``announced`` bind the plan; the proxy
+One faulted execution goes through :func:`repro.net.network.run_protocol`
+(``fault_plan=`` / ``fault_seed=``).  :func:`with_faults` wraps a
+protocol so that every ``run`` / ``announced`` binds the plan; the proxy
 satisfies the protocol API, so every estimator and sampler in
 :mod:`repro.core` measures the faulted protocol unchanged.
 """
@@ -14,17 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..net.scheduler import Scheduler
-from .injector import FaultInjector
 from .plan import FaultPlan
-
-
-class FaultyScheduler(Scheduler):
-    """A scheduler executing one protocol run under a fault plan."""
-
-    def __init__(self, *args, plan: FaultPlan, fault_salt: int = 0, **kwargs):
-        kwargs.setdefault("fault_injector", FaultInjector(plan, salt=fault_salt))
-        super().__init__(*args, **kwargs)
 
 
 class FaultedProtocol:

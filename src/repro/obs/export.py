@@ -234,10 +234,10 @@ def fastpath_gauges() -> Dict[str, float]:
     """The fastpath kernels' process-local telemetry as a gauge mapping.
 
     Flattens :func:`repro.fastpath.stats` into dotted gauge names
-    (``fastpath.pow.table_hits``, ``fastpath.caches.pow_tables``,
-    ``fastpath.enabled``).  Process-local by design: these values depend
-    on cache warmth and process topology, so they belong in exported
-    snapshots, never in diffjson-gated artifact counters.
+    (``fastpath.pow.table_hits``, ``fastpath.caches.tables``).
+    Process-local by design: these values depend on cache warmth and
+    process topology, so they belong in exported snapshots, never in
+    diffjson-gated artifact counters.
     """
     from .. import fastpath
 
@@ -247,7 +247,6 @@ def fastpath_gauges() -> Dict[str, float]:
         gauges[name] = float(value)
     for cache, size in snapshot.get("caches", {}).items():
         gauges[f"fastpath.caches.{cache}"] = float(size)
-    gauges["fastpath.enabled"] = 1.0 if snapshot.get("enabled") else 0.0
     return gauges
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import fastpath
-from ..crypto.backend import apply_backend_env, capture_backend_env
 from ..net.runtime import apply_runtime_env, capture_runtime_env
 from ..obs import Metrics, Tracer, flightrec as _flightrec
 from ..obs import runtime as _obs_runtime
@@ -66,13 +65,9 @@ def _run_shard(
 ) -> ShardOutcome:
     """Worker entry point: run one task under a fresh observation scope."""
     fn, args, trace, flight, shard_env = task
-    # Shards must resolve the same network runtime and crypto backend the
-    # coordinator would: explicit under fork, essential under spawn (fresh
-    # environment).  The backend is outside the determinism contract but
-    # inside the telemetry contract — a worker must describe the same
-    # configuration the coordinator ran.
+    # Shards must resolve the same network runtime the coordinator would:
+    # explicit under fork, essential under spawn (fresh environment).
     apply_runtime_env(shard_env)
-    apply_backend_env(shard_env)
     tracer = Tracer() if trace else None
     flight_records: List[Dict[str, Any]] = []
     with _obs_runtime.observed(tracer=tracer, metrics=Metrics()) as (_, metrics):
@@ -170,7 +165,7 @@ class ExperimentEngine:
 
         trace = _obs_runtime.tracer.enabled
         flight = _obs_runtime.flightrec is not None
-        shard_env = {**capture_runtime_env(), **capture_backend_env()}
+        shard_env = capture_runtime_env()
         shard_tasks = [
             (fn, tuple(args), trace, flight, shard_env) for args in tasks
         ]

@@ -46,7 +46,7 @@ def shm_tables_enabled() -> bool:
     carries the exact rows a worker would rebuild, so this flag can only
     move setup cost, never a computed value.
     """
-    raw = os.environ.get(ENV_SHM_TABLES, "1")  # repro: allow[ENV001]
+    raw = os.environ.get(ENV_SHM_TABLES, "1")
     return raw.strip().lower() not in ("0", "false", "off")
 
 

@@ -178,13 +178,6 @@ def _cmd_run(argv) -> int:
         f" (default {DEFAULT_SHRINK_LIMIT}; 0 disables shrinking)",
     )
     parser.add_argument(
-        "--crypto-backend",
-        choices=["auto", "python", "gmpy2"],
-        default=None,
-        help="big-int arithmetic backend (bit-identical either way; see"
-        " python -m repro.experiments --help)",
-    )
-    parser.add_argument(
         "--fresh",
         action="store_true",
         help="ignore (and remove) any existing checkpoint for this seed",
@@ -197,16 +190,6 @@ def _cmd_run(argv) -> int:
         parser.error(f"--budget must be >= 1, got {args.budget}")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.crypto_backend is not None:
-        from ..crypto import backend as crypto_backend
-        from ..errors import InvalidParameterError
-
-        os.environ[crypto_backend.ENV_BACKEND] = args.crypto_backend
-        try:
-            crypto_backend.configure(None)
-        except InvalidParameterError as exc:
-            parser.error(str(exc))
-
     campaign = Campaign(
         seed=args.seed,
         budget=args.budget,

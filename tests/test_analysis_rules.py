@@ -438,19 +438,6 @@ class TestCRY001ModularPowOutsideCrypto:
         )
         assert rule_ids(findings) == ["CRY001"]
 
-    def test_bad_raw_gmpy2_powmod(self):
-        findings = run_rule(
-            "CRY001",
-            """
-            import gmpy2
-
-            def fast(b, e, m):
-                return gmpy2.powmod(b, e, m)
-            """,
-            module="repro.experiments.cost",
-        )
-        assert rule_ids(findings) == ["CRY001"]
-
     def test_good_two_arg_pow_is_not_modular(self):
         findings = run_rule(
             "CRY001",

@@ -1,11 +1,9 @@
-"""Tests for the crypto backend seam, RLC batch kernels, and shm tables.
+"""Tests for the crypto arithmetic primitives, RLC batch kernels, and shm tables.
 
-Three layers of the PR-10 perf work, each with its own contract:
+Three layers under the crypto kernels, each with its own contract:
 
-* :mod:`repro.crypto.backend` — backend resolution (env / explicit /
-  auto), the pool-shard capture seam, and the bit-identical equivalence
-  of every backend on adversarial inputs (hypothesis-driven; the gmpy2
-  leg auto-skips when the accelerator is not installed);
+* :mod:`repro.crypto.backend` and ``multi_pow`` — equality with the
+  built-in ``pow`` on adversarial inputs (hypothesis-driven);
 * :mod:`repro.fastpath.batch` — combiner determinism and the soundness
   property the batch verifiers rest on: a single corrupted item in a
   batch of m is rejected, and the public ``verify_batch`` /
@@ -25,7 +23,6 @@ from repro.crypto import backend
 from repro.crypto.commitment import PedersenCommitment, PedersenParameters
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.vss import FeldmanVSS, PedersenVSS
-from repro.errors import InvalidParameterError
 from repro.fastpath import (
     COMBINER_BITS,
     combiner_coefficients,
@@ -35,148 +32,30 @@ from repro.fastpath import (
 )
 from repro.parallel import shm
 
-needs_gmpy2 = pytest.mark.skipif(
-    not backend.gmpy2_available(), reason="gmpy2 not installed"
-)
-
 odd_moduli = st.integers(min_value=3, max_value=1 << 80).map(lambda n: n | 1)
 any_ints = st.integers(min_value=-(1 << 80), max_value=1 << 80)
 exponents = st.integers(min_value=0, max_value=1 << 80)
 
 
-# -- resolution ----------------------------------------------------------------------
-
-
-class TestResolution:
-    def test_python_always_available(self):
-        assert "python" in backend.available_backends()
-        assert backend.resolve_backend("python").name == "python"
-
-    def test_auto_prefers_gmpy2_when_importable(self):
-        expected = "gmpy2" if backend.gmpy2_available() else "python"
-        assert backend.resolve_backend("auto").name == expected
-
-    def test_none_consults_the_environment(self, monkeypatch):
-        monkeypatch.setenv(backend.ENV_BACKEND, "python")
-        assert backend.resolve_backend(None).name == "python"
-        monkeypatch.delenv(backend.ENV_BACKEND)
-        assert backend.resolve_backend(None).name in backend.available_backends()
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(InvalidParameterError):
-            backend.resolve_backend("numba")
-
-    def test_gmpy2_without_gmpy2_raises(self):
-        if backend.gmpy2_available():
-            pytest.skip("gmpy2 installed; the failure leg is unreachable")
-        with pytest.raises(InvalidParameterError):
-            backend.resolve_backend("gmpy2")
-
-    def test_using_scopes_and_restores(self):
-        before = backend.active().name
-        with backend.using("python") as active:
-            assert active.name == "python"
-            assert backend.active() is active
-        assert backend.active().name == before
-
-
-class TestCaptureSeam:
-    def test_round_trip(self, monkeypatch):
-        monkeypatch.setenv(backend.ENV_BACKEND, "python")
-        captured = backend.capture_backend_env()
-        assert captured == {backend.ENV_BACKEND: "python"}
-        monkeypatch.delenv(backend.ENV_BACKEND)
-        backend.apply_backend_env(captured)
-        assert backend.active().name == "python"
-
-    def test_empty_capture_pops_and_redetects(self, monkeypatch):
-        monkeypatch.setenv(backend.ENV_BACKEND, "python")
-        backend.apply_backend_env({})
-        assert backend.ENV_BACKEND not in __import__("os").environ
-        assert backend.active().name in backend.available_backends()
-
-    def test_unknown_keys_are_ignored(self, monkeypatch):
-        monkeypatch.delenv(backend.ENV_BACKEND, raising=False)
-        backend.apply_backend_env(
-            {"REPRO_RUNTIME": "event", backend.ENV_BACKEND: "python"}
-        )
-        assert backend.active().name == "python"
-
-
-# -- cross-backend equivalence -------------------------------------------------------
+# -- the arithmetic primitives -------------------------------------------------------
 
 
 class TestPythonBackendEquivalence:
     @given(base=any_ints, exponent=exponents, modulus=odd_moduli)
     @settings(max_examples=120, deadline=None)
     def test_powmod_matches_builtin(self, base, exponent, modulus):
-        ours = backend.resolve_backend("python").powmod(base, exponent, modulus)
-        assert int(ours) == pow(base, exponent, modulus)
+        assert backend.active().powmod(base, exponent, modulus) == pow(base, exponent, modulus)
 
     @given(value=any_ints, modulus=odd_moduli)
     @settings(max_examples=120, deadline=None)
     def test_invert_matches_builtin(self, value, modulus):
-        ref = backend.resolve_backend("python")
         try:
             expected = pow(value, -1, modulus)
         except ValueError:
             with pytest.raises(ValueError):
-                ref.invert(value, modulus)
+                backend.active().invert(value, modulus)
             return
-        assert int(ref.invert(value, modulus)) == expected
-
-    @given(value=any_ints)
-    @settings(max_examples=60, deadline=None)
-    def test_wrap_unwrap_round_trip(self, value):
-        ref = backend.resolve_backend("python")
-        assert ref.unwrap(ref.wrap(value)) == value
-
-
-@needs_gmpy2
-class TestGmpy2BackendEquivalence:
-    @given(base=any_ints, exponent=exponents, modulus=odd_moduli)
-    @settings(max_examples=120, deadline=None)
-    def test_powmod_bit_identical(self, base, exponent, modulus):
-        fast = backend.resolve_backend("gmpy2")
-        assert int(fast.powmod(base, exponent, modulus)) == pow(
-            base, exponent, modulus
-        )
-
-    @given(value=any_ints, modulus=odd_moduli)
-    @settings(max_examples=120, deadline=None)
-    def test_invert_bit_identical(self, value, modulus):
-        fast = backend.resolve_backend("gmpy2")
-        try:
-            expected = pow(value, -1, modulus)
-        except ValueError:
-            with pytest.raises(ValueError):
-                fast.invert(value, modulus)
-            return
-        assert int(fast.invert(value, modulus)) == expected
-
-    @given(value=any_ints)
-    @settings(max_examples=60, deadline=None)
-    def test_wrap_unwrap_round_trip(self, value):
-        fast = backend.resolve_backend("gmpy2")
-        assert fast.unwrap(fast.wrap(value)) == value
-
-    def test_mixed_arithmetic_is_exact(self):
-        # The property that makes a mid-run backend switch safe: cached
-        # mpz table rows compose with plain ints without value drift.
-        fast = backend.resolve_backend("gmpy2")
-        p = (1 << 61) - 1
-        wrapped = fast.wrap(123456789)
-        assert int(wrapped * 987654321 % p) == 123456789 * 987654321 % p
-
-    def test_group_operations_identical_across_backends(self):
-        group = SchnorrGroup.for_security(48)
-        rng = random.Random(11)
-        exps = [group.random_exponent(rng) for _ in range(8)]
-        with backend.using("python"):
-            want = [(group.power(e)).value for e in exps]
-        with backend.using("gmpy2"):
-            got = [(group.power(e)).value for e in exps]
-        assert got == want
+        assert backend.active().invert(value, modulus) == expected
 
 
 class TestMultiPowStrategies:
@@ -184,7 +63,7 @@ class TestMultiPowStrategies:
     @settings(max_examples=80, deadline=None)
     def test_matches_naive_product(self, data):
         # Covers both code paths: <= 4 bases (subset ladder) and > 4
-        # bases (bucket method), on every available backend.
+        # bases (bucket method).
         modulus = data.draw(odd_moduli)
         count = data.draw(st.integers(min_value=0, max_value=12))
         bases = data.draw(
@@ -196,9 +75,7 @@ class TestMultiPowStrategies:
         want = 1 % modulus
         for b, e in zip(bases, exps, strict=True):
             want = want * pow(b, e, modulus) % modulus
-        for name in backend.available_backends():
-            with backend.using(name):
-                assert fastpath.multi_pow(modulus, bases, exps) == want
+        assert fastpath.multi_pow(modulus, bases, exps) == want
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -380,14 +257,6 @@ class TestBatchedVerdictEquivalence:
         want = [vss.verify_share(dealing.commitments, s) for s in shares]
         assert vss.verify_shares(dealing.commitments, shares) == want
         assert want.count(False) == 1
-
-    def test_disabled_fastpath_falls_back_to_per_item(self, batch_setup):
-        group, params = batch_setup
-        rng = random.Random(29)
-        scheme = PedersenCommitment(params)
-        pairs = [scheme.commit(rng.randrange(group.q), rng) for _ in range(6)]
-        with fastpath.disabled():
-            assert scheme.verify_batch(pairs) == [True] * 6
 
 
 # -- shared-memory warm tables -------------------------------------------------------

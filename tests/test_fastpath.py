@@ -2,12 +2,13 @@
 
 Three layers of defence for the ``repro.fastpath`` kernels:
 
-* **property tests** (hypothesis) — each kernel against its naive
-  reference over adversarial inputs: negative / oversized exponents,
-  non-subgroup bases, degenerate sizes;
-* **counter identity** — the ambient ``crypto.*`` metrics recorded with
-  the fastpath on must equal those recorded with it off, operation by
-  operation (measured-cost artifacts embed these counters verbatim);
+* **property tests** (hypothesis) — each kernel against its textbook
+  oracle (``tests/crypto_oracles.py``) over adversarial inputs: negative
+  / oversized exponents, non-subgroup bases, degenerate sizes;
+* **the cost model** — the ambient ``crypto.*`` counters of a fixed
+  workload are pinned to literal counts (measured-cost artifacts embed
+  these counters verbatim), and its values are checked against the
+  oracles;
 * **integration equivalence** — scheduler bucketing vs the per-party
   scan it replaced, warm-state export/replay, and a parallel-engine
   smoke run.
@@ -23,11 +24,13 @@ from repro import fastpath
 from repro.crypto.commitment import PedersenCommitment, PedersenParameters
 from repro.crypto.field import PrimeField
 from repro.crypto.group import (
+    GroupElement,
     SchnorrGroup,
     cached_safe_primes,
     seed_safe_primes,
 )
 from repro.crypto.polynomial import lagrange_coefficients_at_zero
+from repro.crypto.secret_sharing import ShamirSharing
 from repro.crypto.vss import FeldmanVSS, PedersenVSS
 from repro.net.message import Message
 from repro.net.scheduler import bucket_by_recipient
@@ -35,6 +38,8 @@ from repro.obs import Metrics
 from repro.obs import runtime as _obs_runtime
 from repro.parallel import ExperimentEngine
 from repro.parallel.warmup import apply_warm_state, export_warm_state, prewarm
+
+from . import crypto_oracles as oracles
 
 SECURITY_LEVELS = (16, 24, 48)
 GROUPS = {bits: SchnorrGroup.for_security(bits) for bits in SECURITY_LEVELS}
@@ -98,14 +103,11 @@ def test_multi_pow_matches_product_of_pows(bits, pairs):
 )
 def test_vss_expected_matches_naive_product(bits, values, x):
     """Includes non-subgroup commitment values and x >= q: the kernel must
-    agree with the naive loop (which reduces each x-power mod q) exactly."""
+    agree with the oracle loop (which reduces each x-power mod q) exactly."""
     group = GROUPS[bits]
     commitment_values = [v % group.p or 2 for v in values]
-    expected = 1
-    x_power = 1
-    for value in commitment_values:
-        expected = (expected * pow(value, x_power, group.p)) % group.p
-        x_power = (x_power * x) % group.q
+    commitments = [GroupElement(group, value) for value in commitment_values]
+    expected = oracles.vss_expected(group, commitments, x).value
     assert fastpath.vss_expected(group.p, group.q, commitment_values, x) == expected
 
 
@@ -116,8 +118,7 @@ def test_vss_expected_matches_naive_product(bits, values, x):
 )
 def test_cached_lagrange_matches_uncached(bits, xs):
     field = GROUPS[bits].exponent_field
-    with fastpath.disabled():
-        reference = lagrange_coefficients_at_zero(field, xs)
+    reference = oracles.lagrange_coefficients_at_zero(field, xs)
     first = lagrange_coefficients_at_zero(field, xs)  # fills the memo
     second = lagrange_coefficients_at_zero(field, xs)  # hits the memo
     assert first == reference
@@ -148,9 +149,8 @@ def test_exponent_normalization_negative_and_oversized():
     assert group.power(-3) == group.power(group.q - 3)
     element = group.exponent_field.element(7)
     assert g**element == g**7  # FieldElement exponents normalize too
-    with fastpath.disabled():
-        assert g ** -1 == g ** (group.q - 1)
-        assert g ** (group.q + 5) == g**5
+    for exponent in (-1, -3, group.q + 5, 2 * group.q + 7, element):
+        assert g**exponent == oracles.group_exp(g, exponent)
 
 
 def test_power_and_dunder_pow_agree():
@@ -159,7 +159,7 @@ def test_power_and_dunder_pow_agree():
         assert group.power(exponent) == group.generator**exponent
 
 
-# -- counter identity: fastpath on == fastpath off -----------------------------------
+# -- the logical cost model ---------------------------------------------------------
 
 
 def _crypto_workload(bits):
@@ -193,15 +193,71 @@ def _crypto_workload(bits):
     return values
 
 
-def test_counters_and_values_identical_fastpath_on_off():
-    with _obs_runtime.observed(metrics=Metrics()) as (_, fast_metrics):
-        fast_values = _crypto_workload(24)
-    fastpath.clear_caches()
-    with fastpath.disabled():
-        with _obs_runtime.observed(metrics=Metrics()) as (_, naive_metrics):
-            naive_values = _crypto_workload(24)
-    assert fast_values == naive_values
-    assert fast_metrics.snapshot() == naive_metrics.snapshot()
+def _oracle_workload(bits):
+    """``_crypto_workload``'s values recomputed on the oracles, draw for draw."""
+    rng = random.Random(1234)
+    group = SchnorrGroup.for_security(bits)
+    params = PedersenParameters.generate(group)
+    field = group.exponent_field
+    sharing = ShamirSharing(field, 2, 5)
+
+    def padded(polynomial):
+        coefficients = [c.value for c in polynomial.coefficients]
+        return coefficients + [0] * (3 - len(coefficients))
+
+    def secret(shares):
+        subset = list(shares)[:3]
+        lambdas = oracles.lagrange_coefficients_at_zero(field, [s.x for s in subset])
+        return sum(c * s.value for c, s in zip(lambdas, subset, strict=True)).value
+
+    values = {}
+    randomness = group.random_exponent(rng)  # PedersenCommitment.commit's one draw
+    commitment = oracles.pedersen_commit(params, 41, randomness)
+    values["verify"] = commitment == oracles.pedersen_commit(params, 41, randomness)
+    polynomial, shares = sharing.share(17, rng)
+    commitments = [oracles.group_exp(group.generator, a) for a in padded(polynomial)]
+    values["feldman"] = [
+        oracles.group_exp(group.generator, s.value.value)
+        == oracles.vss_expected(group, commitments, s.x)
+        for s in shares.values()
+    ]
+    values["feldman_secret"] = secret(shares.values())
+    value_poly, value_shares = sharing.share(23, rng)
+    blind_poly, blind_shares = sharing.share(field.random(rng), rng)
+    pedersen_commitments = [
+        oracles.pedersen_commit(params, a, b)
+        for a, b in zip(padded(value_poly), padded(blind_poly), strict=True)
+    ]
+    values["pedersen"] = [
+        oracles.pedersen_commit(params, value_shares[x].value.value, blind_shares[x].value.value)
+        == oracles.vss_expected(group, pedersen_commitments, x)
+        for x in value_shares
+    ]
+    values["pedersen_secret"] = secret(value_shares.values())
+    values["commitment"] = commitment.value
+    values["commitments"] = [c.value for c in commitments]
+    return values
+
+
+#: The ``crypto.*`` counters of ``_crypto_workload(24)``: the logical cost
+#: model (textbook operation counts), independent of kernels and caches.
+PINNED_WORKLOAD_COUNTERS = {
+    "crypto.field.mul": 81,
+    "crypto.group.exp": 103,
+    "crypto.group.mul": 75,
+    "crypto.vss.deals": 2,
+    "crypto.vss.shares_verified": 20,
+}
+
+
+def test_crypto_cost_model_pinned_and_values_match_oracle():
+    with _obs_runtime.observed(metrics=Metrics()) as (_, cold_metrics):
+        values = _crypto_workload(24)
+    with _obs_runtime.observed(metrics=Metrics()) as (_, warm_metrics):
+        assert _crypto_workload(24) == values
+    assert cold_metrics.snapshot()["counters"] == PINNED_WORKLOAD_COUNTERS
+    assert warm_metrics.snapshot()["counters"] == PINNED_WORKLOAD_COUNTERS
+    assert values == _oracle_workload(24)
 
 
 def test_fastpath_stats_stay_out_of_ambient_metrics():

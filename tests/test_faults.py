@@ -11,7 +11,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultRule,
-    FaultyScheduler,
     corrupt_payload,
     get_plan,
     with_faults,
@@ -325,19 +324,11 @@ class TestSchedulerIntegration:
                          timeout_output=None)
         assert metrics.get("net.timeouts") == 1
 
-    def test_faulty_scheduler_wrapper(self):
-        protocol = EchoProtocol(3)
-        rng = random.Random(5)
+    def test_run_protocol_fault_plan_drops_sender(self):
         plan = FaultPlan(rules=(FaultRule(kind="drop", senders=[3]),))
-        scheduler = FaultyScheduler(
-            n=3,
-            program_factory=protocol.program,
-            inputs=[7, 8, 9],
-            adversary=Adversary(corrupted=()),
-            rng=rng,
-            plan=plan,
+        execution = run_protocol(
+            EchoProtocol(3), [7, 8, 9], rng=random.Random(5), fault_plan=plan, fault_seed=0
         )
-        execution = scheduler.run()
         assert execution.outputs[1] == (7, 8, None)
 
     def test_with_faults_proxy(self):

@@ -67,7 +67,7 @@ class TestPrometheus:
         metrics.inc("net.bytes.sent.party.2", 250)
         metrics.observe("round.messages", 3)
         metrics.observe("round.messages", 5)
-        text = export.prometheus_text(metrics, extra_gauges={"fastpath.enabled": 1.0})
+        text = export.prometheus_text(metrics, extra_gauges={"fastpath.caches.tables": 4.0})
         samples = export.parse_prometheus_text(text)
         assert samples["repro_net_messages_sent_total"] == 12
         assert samples['repro_net_bytes_sent_by_party_total{party="1"}'] == 100
@@ -77,9 +77,9 @@ class TestPrometheus:
         assert samples["repro_round_messages_min"] == 3
         assert samples["repro_round_messages_max"] == 5
         assert samples["repro_round_messages_mean"] == 4
-        assert samples["repro_fastpath_enabled"] == 1
+        assert samples["repro_fastpath_caches_tables"] == 4
         assert "# TYPE repro_net_messages_sent_total counter" in text
-        assert "# TYPE repro_fastpath_enabled gauge" in text
+        assert "# TYPE repro_fastpath_caches_tables gauge" in text
 
     def test_empty_registry_renders_empty(self):
         assert export.prometheus_text(Metrics()) == ""
@@ -97,7 +97,6 @@ class TestPrometheus:
         # Generate some kernel traffic so the counters are non-trivial.
         NaiveCommitReveal(3, 1).run([1, 0, 1], seed=2)
         gauges = export.fastpath_gauges()
-        assert gauges["fastpath.enabled"] in (0.0, 1.0)
         assert any(name.startswith("fastpath.caches.") for name in gauges)
         assert all(isinstance(value, float) for value in gauges.values())
 
