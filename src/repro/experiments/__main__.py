@@ -81,9 +81,9 @@ def main(argv=None) -> int:
         "--runtime",
         choices=["lockstep", "event"],
         default=None,
-        help="network runtime driving every protocol execution (default:"
-        " lockstep, or the REPRO_RUNTIME environment variable); 'event' uses"
-        " the deterministic discrete-event clock",
+        help="network runtime preset of every protocol execution (default:"
+        " lockstep, or the REPRO_RUNTIME environment variable); 'event'"
+        " accepts --delay-model and --omission",
     )
     parser.add_argument(
         "--delay-model",

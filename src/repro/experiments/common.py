@@ -48,7 +48,7 @@ class ExperimentConfig:
     """An extra :class:`repro.faults.FaultPlan` (from ``--faults PLAN.json``)
     swept by E-FAULT alongside the standard library — measured, never gated."""
     runtime: str = "lockstep"
-    """Which :mod:`repro.net.runtime` engine drives protocol executions
+    """Which :mod:`repro.net.runtime` preset times protocol executions
     (``--runtime``).  The CLI applies the choice through the ``REPRO_RUNTIME``
     environment so pool shards resolve it too; it is recorded here so a
     config states what was simulated."""

@@ -3,7 +3,8 @@
 A :class:`FaultInjector` is created per execution (one seeded RNG, one
 delayed-message queue, one fault log) and hooked into the
 :class:`repro.net.scheduler.Scheduler`, which calls :meth:`apply` on each
-round's honest traffic *before* the rushing adversary sees it.  Faults
+batch's honest traffic (a round, under the lockstep preset) *before* the
+rushing adversary sees it.  Faults
 therefore degrade what the adversary can observe exactly as they degrade
 what honest parties receive — a delayed message leaves the rushed view
 until its release round, a dropped one never appears.

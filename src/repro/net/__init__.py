@@ -5,7 +5,6 @@ See DESIGN.md §3 and the paper's Section 3.1.  The key entry point is
 """
 
 from .adversary import Adversary, PassiveAdversary, ProgramAdversary
-from .event import EventScheduler
 from .message import BROADCAST, Draft, Inbox, Message, RoundRecord, broadcast, send
 from .network import run_protocol
 from .party import PartyContext, PartyState, make_party_rngs
@@ -46,7 +45,6 @@ __all__ = [
     "make_party_rngs",
     "DEFAULT_MAX_ROUNDS",
     "Scheduler",
-    "EventScheduler",
     "Execution",
     "RuntimeConfig",
     "resolve_runtime",

@@ -9,8 +9,8 @@ from typing import Any, Optional, Sequence
 from ..obs import flightrec as _flightrec
 from ..obs import runtime as _obs
 from .adversary import Adversary
-from .runtime import resolve_runtime, scheduler_class
-from .scheduler import DEFAULT_MAX_ROUNDS
+from .runtime import resolve_runtime
+from .scheduler import DEFAULT_MAX_ROUNDS, Scheduler
 from .transcript import Execution
 
 logger = logging.getLogger(__name__)
@@ -67,23 +67,23 @@ def run_protocol(
             of aborting the run with :class:`NetworkError`.
         timeout_output: the degraded output (a value, or a callable of the
             party id); protocols pass the paper's default bit vector.
-        runtime: which :mod:`repro.net.runtime` engine drives the run —
-            ``"lockstep"`` (the paper's synchronous rounds, the default),
-            ``"event"`` (the deterministic discrete-event clock), or a
+        runtime: the :mod:`repro.net.runtime` preset — ``"lockstep"``
+            (the paper's synchronous rushing rounds, the default),
+            ``"event"`` (any delay model and omission policy), or a
             resolved :class:`repro.net.runtime.RuntimeConfig`.  ``None``
             consults the ``REPRO_RUNTIME`` environment variable, which is
-            how the CI runtime matrix re-runs every test under both
-            engines.
-        delay_model: event-runtime message timing — a
+            how the experiments CLI's ``--runtime`` reaches pool shards.
+        delay_model: event-preset message timing — a
             :class:`repro.net.runtime.DelayModel` or a spec string such as
             ``"uniform:0.5,1.5"``; defaults to ``RushDelay(ConstantDelay(1))``,
-            which makes the event engine reproduce lockstep exactly.
-        omission: event-runtime loss policy (an
+            the lockstep timing.
+        omission: event-preset loss policy (an
             :class:`repro.net.runtime.OmissionPolicy` or spec string such
             as ``"drop-all:1"``).
-        max_events: event-runtime delivery budget — the event-count
-            generalization of ``max_rounds``; exceeding it raises
-            :class:`NetworkError` after a flight-recorder dump.
+        max_events: event-preset delivery budget (default 1,000,000, for
+            every preset) — the event-count analogue of ``max_rounds``;
+            exceeding it raises :class:`NetworkError` after a
+            flight-recorder dump.
     """
     runtime_config = resolve_runtime(runtime, delay_model, omission, max_events)
     effective_seed: Optional[int] = seed
@@ -126,7 +126,7 @@ def run_protocol(
         salt = fault_seed if fault_seed is not None else rng.getrandbits(64)
         injector = FaultInjector(fault_plan, salt=salt)
     config = protocol.setup(rng)
-    scheduler_kwargs = dict(
+    scheduler = Scheduler(
         n=protocol.n,
         program_factory=protocol.program,
         inputs=inputs,
@@ -139,14 +139,8 @@ def run_protocol(
         fault_injector=injector,
         timeout_rounds=timeout_rounds,
         timeout_output=timeout_output,
+        runtime=runtime_config,
     )
-    if runtime_config.kind == "event":
-        scheduler_kwargs.update(
-            delay_model=runtime_config.resolved_delay_model(),
-            omission=runtime_config.omission,
-            max_events=runtime_config.max_events,
-        )
-    scheduler = scheduler_class(runtime_config.kind)(**scheduler_kwargs)
     try:
         return scheduler.run()
     except Exception as exc:

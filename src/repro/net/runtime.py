@@ -1,34 +1,27 @@
-"""The pluggable network-runtime seam (ROADMAP item 1).
+"""Network timing for the one execution engine: delay models, omission, presets.
 
-Every protocol execution is driven by a *runtime*: a scheduler class plus
-a message-timing policy.  Two runtimes exist:
+Every protocol execution is driven by :class:`repro.net.scheduler.Scheduler`,
+a deterministic discrete-event loop.  What varies between runs is the
+*timing*: a :class:`DelayModel` gives each channel edge its latency, an
+optional :class:`OmissionPolicy` loses deliveries, and an
+:class:`EventClock` (the delivery calendar) batches deliveries by arrival
+time.  No wall time is ever read, so a run is an exact function of
+``(seed, delay model, omission policy)`` and replays are bit-identical.
 
-* ``"lockstep"`` — the original synchronous round engine of
-  :mod:`repro.net.scheduler`, unchanged and bit-identical to the seed
-  implementation.  One round of latency on every channel, rushing
-  delivery to corrupted parties.
-* ``"event"`` — the deterministic discrete-event engine of
-  :mod:`repro.net.event`.  Message latencies are drawn per channel edge
-  from a seeded :class:`EventClock` stream according to a
-  :class:`DelayModel`; deliveries may be reordered, dropped by an
-  :class:`OmissionPolicy`, and batched by arrival time.  No wall time is
-  ever read, so a run is an exact function of ``(seed, delay model,
-  omission policy)`` and replays are bit-identical.
+Two runtime *presets* name points of that space:
 
-The paper's rushing adversary is *one point* in this delay-model space:
-:class:`RushDelay` gives honest→corrupted edges zero latency (the
-adversary hears the current batch's honest traffic before corrupted
-parties speak) and every other edge the base model's latency.  With
-``RushDelay(ConstantDelay(1))`` — the event runtime's default — the
-event engine degenerates to exactly the lockstep semantics, which is the
-equivalence the property suite in ``tests/test_net_runtime_properties.py``
-pins down.
+* ``"lockstep"`` (the default) is the paper's Section 3.1 model:
+  ``RushDelay(ConstantDelay(1))`` and no omission.  Honest→corrupted edges
+  deliver within the sending round (the rushing adversary), every other
+  edge one round later.  Executions are tagged ``"lockstep"``.
+* ``"event"`` takes any delay model (default the same rushing round) and
+  omission policy.  Executions are tagged ``"event"``.
 
 Selection: :func:`run_protocol` takes ``runtime=``/``delay_model=``/
 ``omission=`` keywords; with no explicit choice the ``REPRO_RUNTIME``,
 ``REPRO_DELAY_MODEL`` and ``REPRO_OMISSION`` environment variables are
-consulted (this is how the CI runtime matrix re-runs the whole tier-1
-suite under both engines), defaulting to lockstep.
+consulted (this is how the experiments CLI's ``--runtime`` reaches pool
+shards), defaulting to lockstep.
 """
 
 from __future__ import annotations
@@ -36,8 +29,9 @@ from __future__ import annotations
 import heapq
 import os
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, DefaultDict, Dict, List, Optional, Tuple
 
 from ..errors import InvalidParameterError
 
@@ -46,11 +40,8 @@ ENV_RUNTIME = "REPRO_RUNTIME"
 ENV_DELAY_MODEL = "REPRO_DELAY_MODEL"
 ENV_OMISSION = "REPRO_OMISSION"
 
-#: The runtime registry: kind -> (module, scheduler class name).
-RUNTIMES: Dict[str, Tuple[str, str]] = {
-    "lockstep": ("repro.net.scheduler", "Scheduler"),
-    "event": ("repro.net.event", "EventScheduler"),
-}
+#: The runtime presets (see the module docstring).
+RUNTIME_KINDS = ("lockstep", "event")
 
 #: Smallest latency a non-rushed edge may have: delivery strictly after
 #: the sending batch, so a pathological model cannot stall the clock.
@@ -71,18 +62,25 @@ def _mix_edge_seed(seed: int, sender: int, recipient: int) -> int:
 
 
 class DelayModel:
-    """Per-edge message latency policy for the event runtime.
+    """Per-edge message latency policy.
 
     ``edge_delay`` draws one latency (in abstract ticks — never wall
-    time) from the edge's seeded stream; ``rushes`` marks edges that
-    deliver *instantly within the sending batch*, which is how the
-    paper's rushing advantage is expressed as a timing policy.
+    time) from the edge's seeded stream; ``fixed_delay`` reports the one
+    latency of a model that never draws, so the engine can skip the
+    stream.  ``rushes`` marks honest→corrupted edges that deliver
+    *instantly within the sending batch*, which is how the paper's
+    rushing advantage is expressed as a timing policy (the engine asks it
+    about no other edge).
     """
 
     name = "abstract"
 
     def edge_delay(self, sender: int, recipient: int, rng: random.Random) -> float:
         raise NotImplementedError
+
+    def fixed_delay(self) -> Optional[float]:
+        """The latency of every edge, or ``None`` when latencies are drawn."""
+        return None
 
     def rushes(self, sender: int, recipient: int, corrupted: frozenset) -> bool:
         return False
@@ -105,6 +103,9 @@ class ConstantDelay(DelayModel):
         self.ticks = float(ticks)
 
     def edge_delay(self, sender: int, recipient: int, rng: random.Random) -> float:
+        return self.ticks
+
+    def fixed_delay(self) -> Optional[float]:
         return self.ticks
 
     def spec(self) -> Dict[str, Any]:
@@ -155,8 +156,8 @@ class RushDelay(DelayModel):
     sending batch, before the adversary chooses corrupted messages);
     every other edge — honest→honest, corrupted→anyone — pays the base
     model's latency, i.e. the adversary's own edges deliver last.  With a
-    :class:`ConstantDelay` base this reproduces the lockstep scheduler's
-    Section 3.1 semantics exactly.
+    ``ConstantDelay(1)`` base this is the paper's Section 3.1 model, the
+    ``"lockstep"`` preset.
     """
 
     name = "rush"
@@ -166,6 +167,9 @@ class RushDelay(DelayModel):
 
     def edge_delay(self, sender: int, recipient: int, rng: random.Random) -> float:
         return self.base.edge_delay(sender, recipient, rng)
+
+    def fixed_delay(self) -> Optional[float]:
+        return self.base.fixed_delay()
 
     def rushes(self, sender: int, recipient: int, corrupted: Any) -> bool:
         return recipient in corrupted and sender not in corrupted
@@ -215,9 +219,14 @@ def delay_model_from_spec(spec: Any) -> Optional[DelayModel]:
 
 
 class OmissionPolicy:
-    """Which scheduled deliveries are silently lost in the event runtime."""
+    """Which deliveries are silently lost.
+
+    ``draws`` says whether :meth:`omits` reads the edge's seeded stream;
+    a policy that does not is handed ``None`` and no stream is created.
+    """
 
     name = "abstract"
+    draws = True
 
     def omits(self, sender: int, recipient: int, message: Any, rng: random.Random) -> bool:
         return False
@@ -231,12 +240,14 @@ class OmissionPolicy:
 
 class NoOmission(OmissionPolicy):
     name = "none"
+    draws = False
 
 
 class DropAll(OmissionPolicy):
     """Omit every message *sent by* the given parties (a send-omission fault)."""
 
     name = "drop-all"
+    draws = False
 
     def __init__(self, parties: Any) -> None:
         if isinstance(parties, int):
@@ -254,6 +265,7 @@ class DropEdges(OmissionPolicy):
     """Omit traffic on specific directed ``(sender, recipient)`` edges."""
 
     name = "drop-edges"
+    draws = False
 
     def __init__(self, edges: Any) -> None:
         self.edges = frozenset((int(s), int(r)) for s, r in edges)
@@ -268,7 +280,7 @@ class DropEdges(OmissionPolicy):
 class RandomDrop(OmissionPolicy):
     """Omit each delivery independently with the given probability.
 
-    Draws come from the delivery edge's seeded clock stream, so the drop
+    Draws come from the delivery edge's seeded stream, so the drop
     pattern replays exactly with the run.
     """
 
@@ -313,27 +325,29 @@ def omission_from_spec(spec: Any) -> Optional[OmissionPolicy]:
     )
 
 
-# -- the deterministic discrete-event clock -----------------------------------------
+# -- the delivery calendar ---------------------------------------------------------
 
 
 class EventClock:
-    """A discrete-event clock with seeded per-edge randomness and no wall time.
+    """The delivery calendar: per-recipient inboxes keyed by arrival time.
 
-    Events are ordered by ``(time, insertion sequence)`` — the sequence
-    number makes simultaneous deliveries pop in schedule order, so the
-    whole event history is a pure function of the clock seed and the
-    schedule calls.  Each directed channel edge ``(sender, recipient)``
-    owns an independent RNG stream derived from the clock seed, so one
-    edge's delay draws can never perturb another's.
+    A *slot* holds every delivery arriving at one instant, as one inbox
+    list per recipient in schedule order; :meth:`advance` pops the
+    earliest slot.  So simultaneous deliveries reach each recipient in
+    the order they were scheduled, and the whole history is a pure
+    function of the clock seed and the schedule calls.  Each directed
+    channel edge ``(sender, recipient)`` owns an RNG stream derived from
+    the clock seed, created on its first draw, so one edge's draws can
+    never perturb another's.  No wall time is ever read.
     """
 
-    __slots__ = ("seed", "now", "_heap", "_sequence", "_edge_rngs")
+    __slots__ = ("seed", "now", "_slots", "_times", "_edge_rngs")
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self.seed = int(seed or 0)
         self.now = 0.0
-        self._heap: List[Tuple[float, int, Any]] = []
-        self._sequence = 0
+        self._slots: Dict[float, DefaultDict[int, List[Any]]] = {}
+        self._times: List[float] = []  # heap of the occupied arrival times
         self._edge_rngs: Dict[Tuple[int, int], random.Random] = {}
 
     def edge_rng(self, sender: int, recipient: int) -> random.Random:
@@ -345,39 +359,37 @@ class EventClock:
             self._edge_rngs[key] = rng
         return rng
 
-    def schedule(self, delay: float, item: Any) -> float:
-        """Enqueue ``item`` for ``now + delay``; returns the arrival time."""
-        arrival = self.now + max(float(delay), MIN_EDGE_DELAY)
-        heapq.heappush(self._heap, (arrival, self._sequence, item))
-        self._sequence += 1
-        return arrival
+    def slot(self, delay: float) -> DefaultDict[int, List[Any]]:
+        """The per-recipient inboxes arriving ``delay`` ticks from now.
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def empty(self) -> bool:
-        return not self._heap
-
-    def tick(self, ticks: float = 1.0) -> float:
-        """Advance time with no deliveries (a silent batch)."""
-        self.now += ticks
-        return self.now
-
-    def advance(self) -> Optional[Tuple[float, List[Any]]]:
-        """Pop every event at the next occupied instant, advancing ``now``.
-
-        Returns ``(time, items)`` in schedule order, or ``None`` when the
-        queue is empty.
+        The delay is clamped to :data:`MIN_EDGE_DELAY`, so nothing lands
+        in the batch that sent it.
         """
-        if not self._heap:
-            return None
-        time, _, item = heapq.heappop(self._heap)
-        batch = [item]
-        while self._heap and self._heap[0][0] == time:
-            batch.append(heapq.heappop(self._heap)[2])
-        self.now = time
-        return time, batch
+        arrival = self.now + max(float(delay), MIN_EDGE_DELAY)
+        inboxes = self._slots.get(arrival)
+        if inboxes is None:
+            inboxes = self._slots[arrival] = defaultdict(list)
+            heapq.heappush(self._times, arrival)
+        return inboxes
+
+    def schedule(self, delay: float, recipient: int, item: Any) -> None:
+        """Deliver ``item`` to ``recipient`` ``delay`` ticks from now."""
+        self.slot(delay)[recipient].append(item)
+
+    def advance(self) -> DefaultDict[int, List[Any]]:
+        """Move ``now`` to the next instant with deliveries and pop its inboxes.
+
+        With nothing in flight, time moves one tick and no inbox arrives
+        (a silent batch, which round-counting programs rely on).
+        """
+        while self._times:
+            arrival = heapq.heappop(self._times)
+            inboxes = self._slots.pop(arrival)
+            if inboxes:
+                self.now = arrival
+                return inboxes
+        self.now += 1.0
+        return defaultdict(list)
 
 
 # -- runtime selection --------------------------------------------------------------
@@ -393,7 +405,7 @@ class RuntimeConfig:
     max_events: Optional[int] = None
 
     def resolved_delay_model(self) -> DelayModel:
-        """The event runtime's default timing: the paper's rushing round."""
+        """The run's timing; unset (always, for lockstep) is the paper's rushing round."""
         return self.delay_model if self.delay_model is not None else RushDelay()
 
     def spec(self) -> Dict[str, Any]:
@@ -439,12 +451,12 @@ def resolve_runtime(
 ) -> RuntimeConfig:
     """Normalize the caller's runtime choice into a :class:`RuntimeConfig`.
 
-    ``runtime`` may be a :class:`RuntimeConfig` (returned as-is), a kind
-    string, or ``None`` — in which case ``REPRO_RUNTIME`` (and, for the
-    event runtime, ``REPRO_DELAY_MODEL`` / ``REPRO_OMISSION``) decide,
-    defaulting to lockstep.  Explicit ``delay_model`` / ``omission``
-    arguments require the event runtime: the lockstep engine's timing is
-    fixed by the paper's model, and silently ignoring a requested delay
+    ``runtime`` may be a :class:`RuntimeConfig` (returned as-is), a preset
+    name, or ``None`` — in which case ``REPRO_RUNTIME`` (and, for the
+    event preset, ``REPRO_DELAY_MODEL`` / ``REPRO_OMISSION``) decide,
+    defaulting to lockstep.  Explicit ``delay_model`` / ``omission`` /
+    ``max_events`` arguments require the event preset: lockstep's timing
+    is fixed by the paper's model, and silently ignoring a requested delay
     distribution would misreport what was simulated.
     """
     if isinstance(runtime, RuntimeConfig):
@@ -452,9 +464,9 @@ def resolve_runtime(
     from_env = runtime is None
     kind = (runtime if runtime is not None else os.environ.get(ENV_RUNTIME, "lockstep"))
     kind = str(kind).strip().lower() or "lockstep"
-    if kind not in RUNTIMES:
+    if kind not in RUNTIME_KINDS:
         raise InvalidParameterError(
-            f"unknown runtime {kind!r}; known: {sorted(RUNTIMES)}"
+            f"unknown runtime {kind!r}; known: {sorted(RUNTIME_KINDS)}"
         )
     model = delay_model_from_spec(delay_model)
     policy = omission_from_spec(omission)
@@ -469,16 +481,3 @@ def resolve_runtime(
             "the lockstep runtime's timing is fixed by the paper's model"
         )
     return RuntimeConfig(kind=kind, delay_model=model, omission=policy, max_events=max_events)
-
-
-def scheduler_class(kind: str) -> Any:
-    """The scheduler class registered for one runtime kind (lazy import)."""
-    try:
-        module_name, class_name = RUNTIMES[kind]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown runtime {kind!r}; known: {sorted(RUNTIMES)}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), class_name)

@@ -1,46 +1,73 @@
-"""The synchronous round engine with rushing delivery.
+"""The execution engine: one deterministic discrete-event loop.
 
-Round semantics (Section 3.1 of the paper):
+Every run advances a seeded :class:`~repro.net.runtime.EventClock`, the
+delivery calendar.  Each *batch* (a round, under the lockstep preset):
 
-1. At the start of round r every honest party receives the messages sent
-   to it in round r-1 (by anyone) and produces its round-r messages.
-2. The adversary then sees all round-r honest traffic (it reads every
-   channel) and, *rushing*, receives instantly the round-r honest messages
-   addressed to corrupted parties — plus everything on the broadcast
-   channel — before choosing the corrupted parties' round-r messages.
-3. All round-r messages are buffered for delivery at round r+1.
+1. pops the deliveries of the next occupied instant (a silent tick when
+   nothing is in flight), and every unfinished honest party is resumed
+   with whatever arrived for it — possibly nothing, so round-counting
+   programs keep their cadence;
+2. the ``fault_injector`` (see :mod:`repro.faults`) rewrites the batch's
+   honest traffic — dropping, delaying, duplicating, or corrupting
+   messages and suppressing crashed senders — *before* the adversary
+   observes it, so faults degrade the adversary's view exactly as they
+   degrade honest deliveries;
+3. the adversary acts on what the delay model lets it see: deliveries
+   that just landed for corrupted parties plus, on rushed edges
+   (:meth:`~repro.net.runtime.DelayModel.rushes`), this very batch's
+   honest traffic to them — the paper's rushing advantage;
+4. every other delivery is scheduled on the calendar at ``now + delay``,
+   unless the omission policy loses it.
 
-The run ends when every honest party's program has returned, or aborts
-with :class:`NetworkError` after ``max_rounds``.
+With the ``"lockstep"`` preset, ``RushDelay(ConstantDelay(1))`` and no
+omission, this is Section 3.1 of the paper: synchronous rounds, a rushing
+adversary, one round of latency on every other edge.
 
-Two optional degradation hooks extend the clean model:
+Determinism: no wall time is ever read, delay and omission draws come
+from per-edge streams derived from the execution seed, and simultaneous
+deliveries reach each recipient in schedule order — so the full
+transcript is a pure function of ``(seed, delay model, omission
+policy)`` and replays are bit-identical.
 
-* ``fault_injector`` (see :mod:`repro.faults`) rewrites each round's
-  honest traffic — dropping, delaying, duplicating, or corrupting
-  messages and suppressing crashed senders — *before* the rushing
-  adversary observes it, so faults degrade the adversary's view exactly
-  as they degrade honest deliveries;
-* ``timeout_rounds`` bounds the run gracefully: instead of raising
-  :class:`NetworkError`, parties still running past the deadline are
-  finalized with ``timeout_output`` (protocols pass the paper's default
-  bit vector), and the execution is marked ``timed_out``.
+Progress guards: the run ends when every honest party's program has
+returned.  ``timeout_rounds`` bounds the batch count gracefully — parties
+still running past the deadline are finalized with ``timeout_output``
+(protocols pass the paper's default bit vector) and the execution is
+marked ``timed_out``.  ``max_rounds`` (batches) and ``max_events``
+(deliveries) abort with :class:`NetworkError`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from collections import defaultdict
+from typing import (
+    Any,
+    Callable,
+    DefaultDict,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+)
 
 from ..errors import NetworkError, ProtocolError
 from ..obs import flightrec as _flightrec
 from ..obs import runtime as _obs
 from ..obs.metrics import payload_size
 from .adversary import Adversary
-from .message import Draft, Inbox, Message, RoundRecord
+from .message import BROADCAST, Draft, Inbox, Message, RoundRecord
 from .party import PartyContext, PartyState
+from .runtime import EventClock, RuntimeConfig
 from .transcript import Execution
 
 DEFAULT_MAX_ROUNDS = 10_000
+
+#: Hard ceiling on delivered events; generous — the largest run in the
+#: repository (chor-rabin at n=64) delivers under 100,000.
+DEFAULT_MAX_EVENTS = 1_000_000
 
 ProgramFactory = Callable[[PartyContext, Any], Any]
 
@@ -71,16 +98,10 @@ def bucket_by_recipient(
 class Scheduler:
     """Drives one protocol execution to completion.
 
-    This is the **lockstep runtime** of the :mod:`repro.net.runtime` seam:
-    the registry entry ``"lockstep"`` resolves here, and the discrete-event
-    engine (:class:`repro.net.event.EventScheduler`) subclasses it so both
-    runtimes share party construction, adversary validation, observability
-    hooks, and finalization — the RNG-derivation order in ``__init__`` is
-    part of the determinism contract and must not change.
+    ``runtime`` is the resolved :class:`~repro.net.runtime.RuntimeConfig`
+    (default: the lockstep preset).  The RNG-derivation order in
+    ``__init__`` is part of the determinism contract and must not change.
     """
-
-    #: Recorded on the returned :class:`Execution` (the runtime seam's tag).
-    runtime_name = "lockstep"
 
     def __init__(
         self,
@@ -96,6 +117,7 @@ class Scheduler:
         fault_injector: Any = None,
         timeout_rounds: Optional[int] = None,
         timeout_output: Any = None,
+        runtime: Optional[RuntimeConfig] = None,
     ) -> None:
         if len(inputs) != n:
             raise ProtocolError(f"expected {n} inputs, got {len(inputs)}")
@@ -116,7 +138,12 @@ class Scheduler:
         self.fault_injector = fault_injector
         self.timeout_rounds = timeout_rounds
         self.timeout_output = timeout_output
-        self._program_factory = program_factory
+        self.runtime = runtime if runtime is not None else RuntimeConfig()
+        self.delay_model = self.runtime.resolved_delay_model()
+        self.omission = self.runtime.omission
+        self.max_events = (
+            self.runtime.max_events if self.runtime.max_events is not None else DEFAULT_MAX_EVENTS
+        )
 
         self.honest_ids = [i for i in range(1, n + 1) if i not in adversary.corrupted]
         self._honest: Dict[int, PartyState] = {}
@@ -146,13 +173,19 @@ class Scheduler:
             rng=random.Random(rng.getrandbits(64)),
             session=session,
         )
+        # The clock seed comes last, so it perturbs no draw above.  The
+        # lockstep preset never draws from an edge stream and takes no
+        # seed, so a lockstep run reads the caller's RNG only for the
+        # parties and the adversary.
+        self._lockstep = self.runtime.kind == "lockstep"
+        self._clock_seed = 0 if self._lockstep else rng.getrandbits(64)
 
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> Execution:
         tracer = _obs.tracer
         if not tracer.enabled:
-            return self._run_rounds()
+            return self._run()
         with tracer.span(
             "scheduler.run",
             n=self.n,
@@ -160,124 +193,154 @@ class Scheduler:
             corrupted=sorted(self.adversary.corrupted),
             seed=self.seed,
         ) as span:
-            execution = self._run_rounds()
+            execution = self._run()
             span.set(rounds=execution.round_count)
             return execution
 
-    def _run_rounds(self) -> Execution:
-        metrics = _obs.metrics
-        rounds: List[RoundRecord] = []
-        # Messages sent in the previous round, keyed by recipient.
-        pending: Dict[int, List[Message]] = {i: [] for i in range(1, self.n + 1)}
-        # Corrupted parties' inboxes accumulate lazily: adversary-to-adversary
-        # traffic from the previous round plus rushed honest traffic.
-        stale_for_corrupted: Dict[int, List[Message]] = {
-            i: [] for i in self.adversary.corrupted
-        }
+    def _rush_targets(self) -> Dict[int, FrozenSet[int]]:
+        """Honest sender -> the corrupted parties its traffic rushes to."""
+        corrupted = self.adversary.corrupted
+        targets = {}
+        for sender in self.honest_ids:
+            hit = frozenset(
+                i for i in corrupted if self.delay_model.rushes(sender, i, corrupted)
+            )
+            if hit:
+                targets[sender] = hit
+        return targets
 
-        round_number = 0
-        started = False
+    def _run(self) -> Execution:
+        metrics = _obs.metrics
+        n = self.n
+        corrupted = self.adversary.corrupted
+        model = self.delay_model
+        omission = self.omission
+        clock = EventClock(self._clock_seed)
+        edge_rng = clock.edge_rng
+        # One fixed latency: every delivery of a batch lands in one slot.
+        fixed_delay = model.fixed_delay()
+        rush = self._rush_targets()
+        everyone = range(1, n + 1)
+        # A rushing sender's broadcast is scheduled for everyone else.
+        fanout = {s: tuple(r for r in everyone if r not in hit) for s, hit in rush.items()}
+        rounds: List[RoundRecord] = []
+        inboxes: DefaultDict[int, List[Message]] = defaultdict(list)
+
+        batch = 0
+        events = 0
         timed_out = False
         while True:
-            round_number += 1
-            if self.timeout_rounds is not None and round_number > self.timeout_rounds:
+            batch += 1
+            if self.timeout_rounds is not None and batch > self.timeout_rounds:
                 timed_out = True
-                self._note_timeout(round_number)
+                self._note_timeout(batch)
                 break
-            if round_number > self.max_rounds:
+            if batch > self.max_rounds:
                 raise NetworkError(
                     f"protocol did not terminate within {self.max_rounds} rounds"
                 )
 
-            # 1. Honest parties speak.
+            # 1. Deliveries land; honest parties speak.
+            if batch > 1:
+                inboxes = clock.advance()
+                events += sum(map(len, inboxes.values()))
+                if events > self.max_events:
+                    self._dump_event_budget(batch, events)
+                    raise NetworkError(
+                        f"runtime delivered more than {self.max_events}"
+                        " messages without terminating"
+                    )
             honest_traffic: List[Message] = []
-            for i in self.honest_ids:
-                state = self._honest[i]
+            for i, state in self._honest.items():
                 if state.finished:
                     continue
-                if not started:
+                if batch == 1:
                     drafts = state.start()
                 else:
-                    drafts = state.resume(Inbox(pending[i]))
+                    drafts = state.resume(Inbox(inboxes[i]))
                 honest_traffic.extend(draft.stamped(i) for draft in drafts)
 
-            # 1b. Faults strike honest traffic before the adversary sees it:
-            #     crashes and drops remove messages, delays shift them to a
-            #     later round, corruption rewrites payloads in place.
+            # 2. Faults strike honest traffic before the adversary sees it:
+            #    crashes and drops remove messages, delays shift them to a
+            #    later batch, corruption rewrites payloads in place.
             if self.fault_injector is not None:
-                honest_traffic = self.fault_injector.apply(
-                    round_number, honest_traffic
-                )
+                honest_traffic = self.fault_injector.apply(batch, honest_traffic)
 
-            # 2. Rushing: corrupted parties instantly receive this round's
-            #    honest traffic addressed to them (and honest broadcasts).
-            instant_views = bucket_by_recipient(
-                honest_traffic, self.adversary.corrupted
-            )
-            rushed: Dict[int, Inbox] = {
-                i: Inbox(stale_for_corrupted[i] + instant_views[i])
-                for i in self.adversary.corrupted
-            }
+            # 3. The adversary acts on what just landed for corrupted
+            #    parties plus, rushing, this batch's honest traffic to them.
+            delivered = 0
+            instant = bucket_by_recipient(honest_traffic, corrupted) if rush else {}
+            rushed: Dict[int, Inbox] = {}
+            for i in corrupted:
+                heard = [m for m in instant.get(i, ()) if i in rush.get(m.sender, ())]
+                if omission is not None:
+                    heard = [m for m in heard if not self._omitted(batch, m, i, edge_rng)]
+                delivered += len(heard)
+                rushed[i] = Inbox(inboxes[i] + heard)
 
-            corrupted_outboxes = self.adversary.act(round_number, rushed)
+            corrupted_outboxes = self.adversary.act(batch, rushed)
             corrupted_traffic = self._collect_corrupted_traffic(corrupted_outboxes)
 
             traffic = honest_traffic + corrupted_traffic
-            self.adversary.observe(round_number, traffic)
-            rounds.append(RoundRecord(round=round_number, messages=traffic))
-            started = True
+            self.adversary.observe(batch, traffic)
+            rounds.append(RoundRecord(round=batch, messages=traffic))
+            # Lockstep round summaries keep the paper's shape: the batch
+            # time is the round number minus one there.
+            extra = {} if self._lockstep else {"time": clock.now, "events": events}
+            self._observe_round(batch, traffic, honest_traffic, corrupted_traffic, **extra)
 
-            self._observe_round(round_number, traffic, honest_traffic, corrupted_traffic)
-
-            # 3. Buffer everything for next-round delivery.
-            pending = {i: [] for i in range(1, self.n + 1)}
-            delivered = 0
+            # 4. Schedule every delivery not already rushed to the adversary.
+            slot = clock.slot(fixed_delay) if fixed_delay is not None else None
+            direct = slot is not None and omission is None
             for message in traffic:
-                if message.is_broadcast:
-                    for i in range(1, self.n + 1):
-                        pending[i].append(message)
-                    delivered += self.n
+                sender = message.sender
+                recipient = message.recipient
+                if recipient == BROADCAST:
+                    recipients: Sequence[int] = fanout.get(sender, everyone)
+                elif not 1 <= recipient <= n:
+                    raise ProtocolError(f"message to unknown party {recipient}")
+                elif rush and recipient in rush.get(sender, ()):
+                    continue
+                elif direct:
+                    slot[recipient].append(message)
+                    delivered += 1
+                    continue
                 else:
-                    if not 1 <= message.recipient <= self.n:
-                        raise ProtocolError(
-                            f"message to unknown party {message.recipient}"
-                        )
-                    pending[message.recipient].append(message)
+                    recipients = (recipient,)
+                if direct:
+                    for r in recipients:
+                        slot[r].append(message)
+                    delivered += len(recipients)
+                    continue
+                for r in recipients:
+                    if omission is not None and self._omitted(batch, message, r, edge_rng):
+                        continue
+                    if slot is not None:
+                        slot[r].append(message)
+                    else:
+                        clock.schedule(model.edge_delay(sender, r, edge_rng(sender, r)), r, message)
                     delivered += 1
             if metrics is not None:
                 metrics.inc("net.messages.delivered", delivered)
-            # Corrupted parties already saw this round's honest traffic; only
-            # corrupted-to-corrupted traffic still awaits them next round.
-            stale_for_corrupted = bucket_by_recipient(
-                corrupted_traffic, self.adversary.corrupted
-            )
 
             if all(state.finished for state in self._honest.values()):
                 break
 
         return self._finalize(rounds, timed_out)
 
-    # -- helpers shared by both runtimes ---------------------------------------
+    # -- bookkeeping -----------------------------------------------------------
 
     def _note_timeout(self, round_number: int) -> None:
         """Record a graceful deadline hit (metrics, trace, flight recorder)."""
         metrics = _obs.metrics
         tracer = _obs.tracer
         flight = _obs.flightrec
+        unfinished = [i for i, s in self._honest.items() if not s.finished]
         if metrics is not None:
             metrics.inc("net.timeouts")
         if tracer.enabled:
-            tracer.event(
-                "scheduler.timeout",
-                round=round_number,
-                unfinished=[
-                    i for i, s in self._honest.items() if not s.finished
-                ],
-            )
+            tracer.event("scheduler.timeout", round=round_number, unfinished=unfinished)
         if flight is not None:
-            unfinished = [
-                i for i, s in self._honest.items() if not s.finished
-            ]
             flight.push(
                 "scheduler.timeout",
                 round=round_number,
@@ -327,12 +390,11 @@ class Scheduler:
         corrupted_traffic: Sequence[Message],
         **extra: Any,
     ) -> None:
-        """Fold one round (or event batch) into metrics/trace/flight records.
+        """Fold one batch into metrics/trace/flight records.
 
-        ``extra`` fields travel with the flight-recorder summary — the
-        event runtime adds its batch time and delivery count, turning the
-        round summary into an event-batch summary without changing the
-        record kind tooling keys on.
+        ``extra`` fields travel with the trace and flight-recorder summary
+        — outside the lockstep preset, the batch time and delivery count,
+        without changing the record kind tooling keys on.
         """
         metrics = _obs.metrics
         tracer = _obs.tracer
@@ -375,6 +437,56 @@ class Scheduler:
                 **extra,
             )
 
+    def _omitted(
+        self, batch: int, message: Message, recipient: int, edge_rng: Callable
+    ) -> bool:
+        """Whether the omission policy loses this delivery; a loss is recorded."""
+        sender = message.sender
+        rng = edge_rng(sender, recipient) if self.omission.draws else None
+        if not self.omission.omits(sender, recipient, message, rng):
+            return False
+        metrics = _obs.metrics
+        if metrics is not None:
+            metrics.inc("net.messages.omitted")
+        tracer = _obs.tracer
+        if tracer.enabled:
+            tracer.event(
+                "net.omission", batch=batch, sender=sender, recipient=recipient, tag=message.tag
+            )
+        flight = _obs.flightrec
+        if flight is not None:
+            flight.push(
+                "omission",
+                batch=batch,
+                session=self.session,
+                sender=sender,
+                recipient=recipient,
+                tag=message.tag,
+            )
+        return True
+
+    def _dump_event_budget(self, batch: int, events: int) -> None:
+        """Snapshot the flight recorder before an over-budget run raises."""
+        unfinished = [i for i, s in self._honest.items() if not s.finished]
+        flight = _obs.flightrec
+        if flight is not None:
+            flight.push(
+                "scheduler.stall",
+                reason="event-budget",
+                batch=batch,
+                events=events,
+                session=self.session,
+                unfinished=unfinished,
+            )
+        _flightrec.dump_if_active(
+            "event-budget",
+            session=self.session,
+            batch=batch,
+            events=events,
+            delay_model=self.delay_model.spec(),
+            unfinished=unfinished,
+        )
+
     def _finalize(self, rounds: List[RoundRecord], timed_out: bool) -> Execution:
         """Collect outputs (applying the timeout fallback) into an Execution."""
         metrics = _obs.metrics
@@ -406,5 +518,5 @@ class Scheduler:
             seed=self.seed,
             faults=faults,
             timed_out=timed_out,
-            runtime=self.runtime_name,
+            runtime=self.runtime.kind,
         )

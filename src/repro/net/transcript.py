@@ -50,12 +50,12 @@ class Execution:
     protocol's default output instead of raising :class:`NetworkError`.
     """
     runtime: str = "lockstep"
-    """Which :mod:`repro.net.runtime` engine drove the run.
+    """Which :mod:`repro.net.runtime` preset drove the run.
 
-    ``"lockstep"`` for the synchronous round scheduler; ``"event"`` for
-    the discrete-event engine, in which case each :class:`RoundRecord`
-    is one *event batch* (all messages sent at one clock instant) rather
-    than a synchronous round.
+    ``"lockstep"`` for the paper's synchronous rounds; ``"event"`` for a
+    chosen delay model and omission policy, in which case each
+    :class:`RoundRecord` is one *event batch* (all messages sent at one
+    clock instant) rather than a synchronous round.
     """
 
     @property

@@ -1,18 +1,23 @@
-"""Tests for the pluggable network runtime (repro.net.runtime / .event).
+"""Tests for the network runtime (repro.net.runtime / .scheduler).
 
-Covers the seam itself (selection, env vars, validation), the delay and
-omission model vocabulary, the deterministic :class:`EventClock`, the
-event scheduler's progress guards, and — the load-bearing part — the
-regression pinning the paper's rushing-attack verdicts when the rushing
-adversary is re-derived as the :class:`RushDelay` delay-model point.
+Covers runtime selection (presets, env vars, validation), the delay and
+omission model vocabulary, the delivery calendar (:class:`EventClock`),
+the engine's progress guards, equivalence with the textbook round loop
+of ``tests/net_oracles.py`` on both presets, and — the load-bearing part
+— the regression pinning the paper's rushing-attack verdicts when the
+rushing adversary is re-derived as the :class:`RushDelay` delay-model
+point.
 """
 
 import pytest
 
 from repro.adversaries import CommitEchoAdversary, SequentialCopier
 from repro.errors import InvalidParameterError, NetworkError
+from repro.faults import FaultPlan, FaultRule
 from repro.net import run_protocol
-from repro.net.event import EventScheduler, IDLE_BATCH_LIMIT
+from repro.net import runtime as net_runtime
+from repro.net import scheduler as net_scheduler
+from repro.net.adversary import Adversary
 from repro.net.message import broadcast
 from repro.net.runtime import (
     ConstantDelay,
@@ -31,16 +36,25 @@ from repro.net.runtime import (
     delay_model_from_spec,
     omission_from_spec,
     resolve_runtime,
-    scheduler_class,
 )
-from repro.net.scheduler import Scheduler
-from repro.protocols import GennaroBroadcast, NaiveCommitReveal, SequentialBroadcast
+from repro.obs import Metrics
+from repro.obs import runtime as obs_runtime
+from repro.protocols import (
+    ChorRabinBroadcast,
+    GennaroBroadcast,
+    NaiveCommitReveal,
+    SequentialBroadcast,
+)
+
+from .net_oracles import run_lockstep, same_run
+
+PRESETS = ("lockstep", "event")
 
 
 @pytest.fixture(autouse=True)
 def _clean_runtime_env(monkeypatch):
-    """This file tests explicit runtime selection; the CI runtime matrix
-    exports REPRO_RUNTIME globally, so neutralize it here."""
+    """This file tests explicit runtime selection; a REPRO_RUNTIME exported
+    by the caller's shell must not leak in."""
     for key in ("REPRO_RUNTIME", "REPRO_DELAY_MODEL", "REPRO_OMISSION"):
         monkeypatch.delenv(key, raising=False)
 
@@ -189,37 +203,71 @@ class TestOmissionPolicies:
 class TestEventClock:
     def test_orders_by_time_then_schedule_order(self):
         clock = EventClock(seed=1)
-        clock.schedule(2.0, "late")
-        clock.schedule(1.0, "early-a")
-        clock.schedule(1.0, "early-b")
-        time, items = clock.advance()
-        assert time == pytest.approx(1.0)
-        assert items == ["early-a", "early-b"]  # schedule order, not heap noise
-        time, items = clock.advance()
-        assert time == pytest.approx(2.0)
-        assert items == ["late"]
-        assert clock.advance() is None
-        assert clock.empty
+        clock.schedule(2.0, 1, "late")
+        clock.schedule(1.0, 1, "early-a")
+        clock.schedule(1.0, 2, "other")
+        clock.schedule(1.0, 1, "early-b")
+        assert clock.advance() == {1: ["early-a", "early-b"], 2: ["other"]}
+        assert clock.now == pytest.approx(1.0)
+        assert clock.advance() == {1: ["late"]}
+        assert clock.now == pytest.approx(2.0)
 
     def test_zero_delay_is_clamped_strictly_forward(self):
         clock = EventClock(seed=1)
-        arrival = clock.schedule(0.0, "x")
-        assert arrival > clock.now
-        assert arrival - clock.now >= MIN_EDGE_DELAY
+        clock.schedule(5.0, 1, "first")
+        clock.advance()
+        sent_at = clock.now
+        clock.schedule(0.0, 2, "x")
+        clock.schedule(-3.0, 2, "y")
+        assert clock.advance() == {2: ["x", "y"]}
+        assert clock.now - sent_at == pytest.approx(MIN_EDGE_DELAY)
+        assert clock.now > sent_at
 
     def test_edge_streams_are_independent_and_replayable(self):
         a = EventClock(seed=42)
         b = EventClock(seed=42)
         assert a.edge_rng(1, 2).random() == b.edge_rng(1, 2).random()
+        assert a.edge_rng(1, 2) is a.edge_rng(1, 2)  # one stream per edge
         # Distinct edges own distinct streams (directionally, too).
         c = EventClock(seed=42)
         assert c.edge_rng(1, 2).random() != c.edge_rng(2, 1).random()
 
     def test_tick_advances_without_deliveries(self):
         clock = EventClock(seed=0)
-        clock.tick()
+        clock.slot(0.25)  # a slot nothing was scheduled into is no instant
+        assert clock.advance() == {}
         assert clock.now == pytest.approx(1.0)
-        assert len(clock) == 0
+        clock.schedule(0.5, 1, "x")
+        assert clock.advance() == {1: ["x"]}
+        assert clock.now == pytest.approx(1.5)
+
+    @pytest.mark.parametrize(
+        "timing, expect_streams",
+        [
+            ({"runtime": "lockstep"}, False),
+            ({"runtime": "event"}, False),
+            ({"runtime": "event", "omission": "drop-all:1"}, False),
+            ({"runtime": "event", "delay_model": "uniform:0.5,1.5"}, True),
+            ({"runtime": "event", "omission": "random:0.1"}, True),
+        ],
+    )
+    def test_engine_creates_streams_only_for_drawing_timing(
+        self, monkeypatch, timing, expect_streams
+    ):
+        seeded = []
+        mix = net_runtime._mix_edge_seed
+
+        def counting_mix(seed, sender, recipient):
+            seeded.append((sender, recipient))
+            return mix(seed, sender, recipient)
+
+        monkeypatch.setattr(net_runtime, "_mix_edge_seed", counting_mix)
+        run_protocol(
+            SequentialBroadcast(4, 1), [1, 0, 1, 1], seed=3,
+            timeout_rounds=40, timeout_output=(0, 0, 0, 0), **timing,
+        )
+        assert bool(seeded) == expect_streams
+        assert len(seeded) == len(set(seeded))  # at most one stream per edge
 
 
 # -- runtime selection --------------------------------------------------------------
@@ -229,8 +277,9 @@ class TestResolveRuntime:
     def test_default_is_lockstep(self):
         config = resolve_runtime()
         assert config.kind == "lockstep"
-        assert scheduler_class("lockstep") is Scheduler
-        assert scheduler_class("event") is EventScheduler
+        assert config.omission is None
+        timing = config.resolved_delay_model()
+        assert isinstance(timing, RushDelay) and timing.fixed_delay() == 1.0
 
     def test_env_variable_selects_runtime(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNTIME", "event")
@@ -277,19 +326,18 @@ class TestResolveRuntime:
         assert capture_runtime_env() == {"REPRO_RUNTIME": "event"}
 
 
-# -- the event scheduler ------------------------------------------------------------
+# -- the engine ---------------------------------------------------------------------
 
 
-class TestEventSchedulerEquivalence:
-    """Under the default RushDelay(ConstantDelay(1)) the event engine is lockstep."""
+class TestOracleEquivalence:
+    """Both presets reproduce the textbook round loop of ``tests/net_oracles.py``."""
 
     def test_echo_matches_lockstep_exactly(self):
-        lockstep = run_protocol(EchoProtocol(3), [10, 20, 30], seed=1)
-        event = run_protocol(EchoProtocol(3), [10, 20, 30], seed=1, runtime="event")
-        assert event.runtime == "event" and lockstep.runtime == "lockstep"
-        assert event.outputs == lockstep.outputs
-        assert event.rounds == lockstep.rounds
-        assert event.round_count == lockstep.round_count
+        oracle = run_lockstep(EchoProtocol(3), [10, 20, 30], seed=1)
+        for preset in PRESETS:
+            execution = run_protocol(EchoProtocol(3), [10, 20, 30], seed=1, runtime=preset)
+            assert execution.runtime == preset
+            assert same_run(execution, oracle)
 
     def test_execution_records_runtime(self):
         assert run_protocol(EchoProtocol(2), [1, 2], seed=1).runtime == "lockstep"
@@ -306,32 +354,50 @@ class TestEventSchedulerEquivalence:
         assert first.outputs == second.outputs
         assert first.rounds == second.rounds
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_faulted_round_counting_run_ends_cleanly(self, preset):
+        # Every message dropped, yet chor-rabin counts its rounds to the
+        # end: a silent calendar is not a stuck run.
+        plan = FaultPlan(rules=(FaultRule(kind="drop"),))
+        protocol = ChorRabinBroadcast(3, 1, security_bits=16)
+        oracle = run_lockstep(protocol, [1, 0, 1], seed=5, fault_plan=plan)
+        execution = run_protocol(protocol, [1, 0, 1], seed=5, fault_plan=plan, runtime=preset)
+        assert execution.round_count == 10
+        assert not execution.timed_out
+        assert same_run(execution, oracle)
 
-class TestEventSchedulerGuards:
+
+class TestProgressGuards:
     def test_silent_stall_raises_without_timeout(self):
-        # A protocol that never sends can never receive an event: the
-        # queue-drained guard must fire long before max_rounds.
-        with pytest.raises(NetworkError):
-            run_protocol(
-                NeverTerminates(), [None, None], seed=1,
-                runtime="event", max_rounds=10_000,
-            )
+        # A program that never returns runs to max_rounds, however silent.
+        for preset in PRESETS:
+            with pytest.raises(NetworkError, match="within 50 rounds"):
+                run_protocol(
+                    NeverTerminates(), [None, None], seed=1,
+                    runtime=preset, max_rounds=50,
+                )
 
     def test_silent_stall_finalizes_under_timeout(self):
-        execution = run_protocol(
-            NeverTerminates(), [None, None], seed=1,
-            runtime="event", timeout_rounds=IDLE_BATCH_LIMIT + 5,
-            timeout_output="gave-up",
-        )
-        assert execution.timed_out
-        assert execution.outputs == {1: "gave-up", 2: "gave-up"}
+        for preset in PRESETS:
+            execution = run_protocol(
+                NeverTerminates(), [None, None], seed=1,
+                runtime=preset, timeout_rounds=13,
+                timeout_output="gave-up",
+            )
+            assert execution.timed_out
+            assert execution.round_count == 13
+            assert execution.outputs == {1: "gave-up", 2: "gave-up"}
 
-    def test_event_budget_guard(self):
+    def test_event_budget_guard(self, monkeypatch):
         with pytest.raises(NetworkError):
             run_protocol(
                 ChattyForever(), [None, None], seed=1,
                 runtime="event", max_events=50,
             )
+        # The default budget bounds the lockstep preset too.
+        monkeypatch.setattr(net_scheduler, "DEFAULT_MAX_EVENTS", 50)
+        with pytest.raises(NetworkError, match="more than 50"):
+            run_protocol(ChattyForever(), [None, None], seed=1)
 
     def test_omission_starves_echo(self):
         # Drop everything party 1 sends: party 2 never hears it.
@@ -342,15 +408,28 @@ class TestEventSchedulerGuards:
         )
         assert execution.outputs[2] == (None, 6)
 
+    def test_rushed_omission_counts_once(self):
+        # Party 1's broadcast to the corrupted party 3 is rushed and lost:
+        # it counts as omitted only.  Two honest broadcasts, six edges.
+        with obs_runtime.observed(metrics=Metrics()) as (_, metrics):
+            run_protocol(
+                EchoProtocol(3), [1, 2, 3], seed=1, adversary=Adversary(corrupted={3}),
+                runtime="event", omission="drop-all:1",
+            )
+        delivered = metrics.get("net.messages.delivered")
+        omitted = metrics.get("net.messages.omitted")
+        assert (delivered, omitted) == (3, 3)
+        assert delivered + omitted == 6
+
 
 class TestRushDelayRegression:
     """The paper's rushing-attack verdicts, reproduced as a delay-model point.
 
     These assertions are copies of the lockstep attack tests in
     ``tests/test_protocols_attacks.py`` run under ``runtime="event"``: the
-    event engine with :class:`RushDelay` timing must reach the exact same
-    verdicts (attack succeeds / protocol resists) the lockstep rushing
-    scheduler reaches.
+    event preset with :class:`RushDelay` timing must reach the exact same
+    verdicts (attack succeeds / protocol resists) the lockstep preset
+    reaches.
     """
 
     def test_sequential_copier_still_succeeds(self):
@@ -396,7 +475,7 @@ class TestRushDelayRegression:
         # Control: take the rushing edge away (plain constant delays, the
         # adversary hears everything one batch late) and the reveal echo
         # misses its window — the verdict flips, proving RushDelay is what
-        # carries the paper's adversary model, not the event engine itself.
+        # carries the paper's adversary model, not the engine itself.
         protocol = NaiveCommitReveal(4, 1)
         announced = protocol.announced(
             (1, 1, 0, 0),

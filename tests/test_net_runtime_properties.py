@@ -1,20 +1,23 @@
-"""Property-based tests for the event runtime (hypothesis).
+"""Property-based tests for the network runtime (hypothesis).
 
 Three invariants, each quantified over random seeds and parameters:
 
 * **replay** — every delay draw comes from a seeded per-edge stream, so
   the same (seed, model) always reproduces the same draws;
-* **determinism** — a full event-runtime execution (delivery order,
+* **determinism** — a full execution under any timing (delivery order,
   transcripts, outputs) is a pure function of (seed, delay model);
-* **degeneracy** — with the default ``RushDelay(ConstantDelay(1))``
-  timing, the event engine *is* the lockstep scheduler: announced
-  vectors, transcripts, and round counts coincide on the protocol zoo.
+* **degeneracy** — the lockstep preset, and the event preset's default
+  ``RushDelay(ConstantDelay(1))`` timing, *are* the paper's round model:
+  announced vectors, transcripts, and round counts coincide with the
+  textbook loop of ``tests/net_oracles.py`` on the protocol zoo, with and
+  without a rushing adversary.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversaries import SequentialCopier
 from repro.net import run_protocol
 from repro.net.runtime import (
     ConstantDelay,
@@ -30,11 +33,15 @@ from repro.protocols import (
     SequentialBroadcast,
 )
 
+from .net_oracles import run_lockstep, same_run
+
+
 @pytest.fixture(autouse=True, scope="module")
 def _clean_runtime_env():
-    """The lockstep legs below must really be lockstep, even when the CI
-    runtime matrix exports REPRO_RUNTIME=event globally.  Module-scoped
-    (hypothesis forbids function-scoped fixtures under @given)."""
+    """The runs below select their preset explicitly or rely on the
+    lockstep default; a REPRO_RUNTIME exported by the caller's shell must
+    not leak in.  Module-scoped (hypothesis forbids function-scoped
+    fixtures under @given)."""
     import os
 
     keys = ("REPRO_RUNTIME", "REPRO_DELAY_MODEL", "REPRO_OMISSION")
@@ -94,14 +101,27 @@ class TestSeededDrawsReplay:
         assert draws_a == draws_b
         assert draws_a[0] == first[0]
 
-    @given(seed=seeds)
+    @given(
+        seed=seeds,
+        plan=st.lists(
+            st.tuples(st.sampled_from([0.5, 1.0, 2.0]), st.integers(1, N)),
+            min_size=1, max_size=30,
+        ),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_schedule_order_breaks_ties_deterministically(self, seed):
-        clock_a, clock_b = EventClock(seed), EventClock(seed)
-        for clock in (clock_a, clock_b):
-            for item in range(10):
-                clock.schedule(1.0, item)
-        assert clock_a.advance() == clock_b.advance()
+    def test_schedule_order_breaks_ties_deterministically(self, seed, plan):
+        clock = EventClock(seed)
+        for item, (delay, recipient) in enumerate(plan):
+            clock.schedule(delay, recipient, item)
+        popped = []
+        while len(popped) < len(plan):
+            inboxes = clock.advance()
+            for recipient in sorted(inboxes):
+                popped.extend((clock.now, recipient, item) for item in inboxes[recipient])
+        # Every item arrives once, at its delay, and ties reach each
+        # recipient in schedule order.
+        expected = sorted((delay, r, item) for item, (delay, r) in enumerate(plan))
+        assert popped == expected
 
 
 class TestDeliveryOrderDeterminism:
@@ -135,18 +155,16 @@ class TestLockstepDegeneracy:
     @settings(max_examples=20, deadline=None)
     def test_default_event_timing_equals_lockstep(self, seed, bits, factory_index):
         protocol = FAST_FACTORIES[factory_index]()
-        lockstep = run_protocol(protocol, list(bits), seed=seed)
-        event = run_protocol(protocol, list(bits), seed=seed, runtime="event")
-        assert event.outputs == lockstep.outputs
-        assert event.rounds == lockstep.rounds
-        assert event.round_count == lockstep.round_count
-        assert event.adversary_output == lockstep.adversary_output
+        oracle = run_lockstep(protocol, list(bits), seed=seed)
+        for preset in ("lockstep", "event"):
+            execution = run_protocol(protocol, list(bits), seed=seed, runtime=preset)
+            assert same_run(execution, oracle)
 
     @given(seed=seeds, bits=input_vectors)
     @settings(max_examples=15, deadline=None)
     def test_explicit_rush_constant_is_the_same_degenerate_point(self, seed, bits):
         protocol = SequentialBroadcast(N, T)
-        lockstep = run_protocol(protocol, list(bits), seed=seed)
+        oracle = run_lockstep(protocol, list(bits), seed=seed)
         event = run_protocol(
             protocol,
             list(bits),
@@ -154,8 +172,21 @@ class TestLockstepDegeneracy:
             runtime="event",
             delay_model=RushDelay(ConstantDelay(1.0)),
         )
-        assert event.outputs == lockstep.outputs
-        assert event.rounds == lockstep.rounds
+        assert same_run(event, oracle)
+
+    @given(seed=seeds, bits=input_vectors)
+    @settings(max_examples=15, deadline=None)
+    def test_rushing_adversary_sees_the_same_rounds(self, seed, bits):
+        protocol = SequentialBroadcast(N, T)
+        oracle = run_lockstep(
+            protocol, list(bits), adversary=SequentialCopier(copier=N, target=1), seed=seed
+        )
+        for preset in ("lockstep", "event"):
+            execution = run_protocol(
+                protocol, list(bits), adversary=SequentialCopier(copier=N, target=1),
+                seed=seed, runtime=preset,
+            )
+            assert same_run(execution, oracle)
 
 
 class TestModelSanity:
