@@ -8,7 +8,7 @@ cost through pytest-benchmark.  Run with::
     pytest benchmarks/ --benchmark-only
 
 Full-scale numbers (the ones recorded in EXPERIMENTS.md) come from
-``python -m repro.experiments`` instead.
+``python -m repro experiments`` instead.
 """
 
 import pytest

@@ -7,8 +7,8 @@ RNG streams only, no wall-clock in artifact paths, no set-iteration
 order leaking into transcripts) that CI replay jobs only catch
 *dynamically*, late, and with poor shrinking.  This engine makes the
 discipline a static property: each :class:`Rule` inspects one parsed
-module and yields :class:`Finding` objects; the CLI
-(:mod:`repro.analysis.cli`) gates CI on zero non-baselined findings.
+module and yields :class:`Finding` objects; ``python -m repro analyze``
+(:mod:`repro.__main__`) gates CI on zero non-baselined findings.
 
 Escape hatches, in order of preference:
 

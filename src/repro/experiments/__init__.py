@@ -3,7 +3,7 @@
 See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for measured
 results.  Run everything with::
 
-    python -m repro.experiments --jobs 4
+    python -m repro experiments --jobs 4
 
 or programmatically via :func:`repro.experiments.registry.run_all`
 (``parallel=N`` shards across worker processes with bit-identical

@@ -3,7 +3,7 @@
 The CI ``parallel-equivalence`` gate runs the experiment suite twice —
 ``--jobs 1`` and ``--jobs 4`` — and feeds both artifact directories to::
 
-    python -m repro.experiments.diffjson artifacts-serial artifacts-par
+    python -m repro diffjson artifacts-serial artifacts-par
 
 Every field of every result must match exactly except the wall-clock
 measurements (``metrics.wall_seconds``), which are the only
@@ -14,11 +14,9 @@ determinism regression in :mod:`repro.parallel` and fails the build.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
-import sys
 from typing import Any, Dict, List
 
 #: Result fields that legitimately differ between runs (wall-clock only).
@@ -96,30 +94,3 @@ def compare_dirs(serial_dir: str, parallel_dir: str) -> List[str]:
             _describe_diff(name, first, second, diffs)
     return diffs
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.diffjson",
-        description="Diff two experiment artifact directories, ignoring wall-clock.",
-    )
-    parser.add_argument("serial_dir", help="artifacts from the reference (serial) run")
-    parser.add_argument("parallel_dir", help="artifacts from the run under test")
-    args = parser.parse_args(argv)
-
-    for directory in (args.serial_dir, args.parallel_dir):
-        if not os.path.isdir(directory):
-            parser.error(f"not a directory: {directory}")
-
-    diffs = compare_dirs(args.serial_dir, args.parallel_dir)
-    if diffs:
-        print(f"DIVERGENCE: {len(diffs)} difference(s) beyond wall-clock:")
-        for diff in diffs:
-            print(f"  {diff}")
-        return 1
-    count = len([f for f in os.listdir(args.serial_dir) if f.endswith(".json")])
-    print(f"ok: {count} artifact(s) identical modulo wall-clock")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

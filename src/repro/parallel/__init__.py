@@ -12,7 +12,8 @@ the coordinator's in task order.
 
 Entry points:
 
-* ``python -m repro.experiments --jobs N`` — the CLI;
+* ``--jobs N`` on the ``python -m repro`` commands that run experiments
+  or campaigns (default: one worker per CPU);
 * :func:`repro.experiments.registry.run_all` with ``parallel=N``;
 * :class:`ExperimentEngine` — the reusable process-pool mapper.
 """

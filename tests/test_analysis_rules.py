@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.cli import main as analyze_main
+from repro.__main__ import main
 from repro.analysis.engine import Finding, analyze_source, module_name_for
 from repro.analysis.report import (
     apply_baseline,
@@ -563,9 +563,7 @@ class TestBaseline:
         )
         clean = tmp_path / "clean.py"
         clean.write_text("VALUE = 1\n")
-        code = analyze_main(
-            [str(clean), "--baseline", str(baseline_path), "--out", "-"]
-        )
+        code = main(["analyze", str(clean), "--baseline", str(baseline_path), "--out", "-"])
         assert code == 1
         assert "stale" in capsys.readouterr().out
 
@@ -606,23 +604,21 @@ class TestReportSchema:
 
 class TestCli:
     def test_list_rules_exits_zero(self, capsys):
-        assert analyze_main(["--list-rules"]) == 0
+        assert main(["analyze", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in ALL_RULES:
             assert rule.id in out
 
     def test_unknown_rule_id_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
-            analyze_main(["--rules", "NOPE999", "--out", "-"])
+            main(["analyze", "--rules", "NOPE999", "--out", "-"])
         assert excinfo.value.code == 2
 
     def test_dirty_file_gates_and_writes_report(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text("import os\ntoken = os.urandom(8)\n")
         out = tmp_path / "report.json"
-        code = analyze_main(
-            [str(dirty), "--no-baseline", "--out", str(out), "--format", "json"]
-        )
+        code = main(["analyze", str(dirty), "--no-baseline", "--out", str(out), "--format", "json"])
         assert code == 1
         payload = json.loads(out.read_text())
         assert payload["summary"]["gating"] == 1
@@ -634,14 +630,10 @@ class TestCli:
         dirty.write_text("import os\ntoken = os.urandom(8)\n")
         baseline = tmp_path / "baseline.json"
         assert (
-            analyze_main(
-                [str(dirty), "--baseline", str(baseline), "--update-baseline"]
-            )
+            main(["analyze", str(dirty), "--baseline", str(baseline), "--update-baseline"])
             == 0
         )
-        code = analyze_main(
-            [str(dirty), "--baseline", str(baseline), "--out", "-"]
-        )
+        code = main(["analyze", str(dirty), "--baseline", str(baseline), "--out", "-"])
         assert code == 0
         capsys.readouterr()
 

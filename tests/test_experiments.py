@@ -7,6 +7,7 @@ tiny scale.
 
 import pytest
 
+from repro.__main__ import main
 from repro.errors import ExperimentError
 from repro.experiments import (
     REGISTRY,
@@ -15,7 +16,6 @@ from repro.experiments import (
     ExperimentResult,
     run_experiment,
 )
-from repro.experiments.__main__ import main as cli_main
 
 EXPECTED_IDS = {
     "E-FIG1",
@@ -106,18 +106,18 @@ class TestCheapExperiments:
 
 class TestCLI:
     def test_cli_runs_selected_experiment(self, capsys):
-        code = cli_main(["E-C56", "--scale", "0.05"])
+        code = main(["experiments", "E-C56", "--scale", "0.05"])
         captured = capsys.readouterr()
         assert code == 0
         assert "E-C56" in captured.out
         assert "PASS" in captured.out
 
     def test_cli_scale_and_seed_flags(self, capsys):
-        code = cli_main(["E-RND", "--scale", "0.05", "--seed", "7"])
+        code = main(["experiments", "E-RND", "--scale", "0.05", "--seed", "7"])
         assert code == 0
 
     def test_cli_unknown_experiment_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["E-NOPE"])
+            main(["experiments", "E-NOPE"])
         assert excinfo.value.code == 2
         assert "E-NOPE" in capsys.readouterr().err

@@ -4,7 +4,8 @@ import json
 import math
 import os
 
-from repro.experiments.diffjson import _equal, compare_dirs, main, strip_wall_clock
+from repro.__main__ import main
+from repro.experiments.diffjson import _equal, compare_dirs, strip_wall_clock
 
 
 def write_artifact(directory, name, payload):
@@ -112,11 +113,11 @@ class TestMain:
     def test_exit_codes(self, tmp_path, capsys):
         write_artifact(tmp_path / "a", "E-X.json", RESULT)
         write_artifact(tmp_path / "b", "E-X.json", RESULT)
-        assert main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+        assert main(["diffjson", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
         mutated = json.loads(json.dumps(RESULT))
         mutated["passed"] = False
         write_artifact(tmp_path / "b", "E-X.json", mutated)
-        assert main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        assert main(["diffjson", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
         out = capsys.readouterr().out
         assert "DIVERGENCE" in out
 

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.obs import baseline
-from repro.obs.__main__ import main as obs_main
 
 
 def _snapshot(counters=None, histograms=None, timings=None, passed=True):
@@ -168,13 +168,13 @@ class TestObsCLIBaselineDiff:
     @pytest.fixture(scope="class")
     def captured(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("baseline") / "base.json"
-        code = obs_main(["baseline", "E-RND", "--out", str(path), "--scale", "0.05"])
+        code = main(["obs", "baseline", "E-RND", "--out", str(path), "--scale", "0.05"])
         assert code == 0
         return str(path)
 
     def test_diff_against_own_capture_passes(self, captured):
         # diff re-runs at the config recorded inside the baseline document.
-        code = obs_main(["diff", "--baseline", captured])
+        code = main(["obs", "diff", "--baseline", captured])
         assert code == 0
 
     def test_diff_flags_tampered_baseline(self, captured, tmp_path, capsys):
@@ -185,20 +185,25 @@ class TestObsCLIBaselineDiff:
         counters[next(iter(counters))] += 1
         tampered_path = str(tmp_path / "tampered.json")
         baseline.save(tampered, tampered_path)
-        code = obs_main(["diff", "--baseline", tampered_path])
+        code = main(["obs", "diff", "--baseline", tampered_path])
         assert code == 1
         assert "DRIFT" in capsys.readouterr().out
 
     def test_diff_from_json_artifacts(self, captured, tmp_path):
-        from repro.experiments.__main__ import main as experiments_main
-
         artifacts = tmp_path / "artifacts"
-        experiments_main(["E-RND", "--scale", "0.05", "--jobs", "1", "--json", str(artifacts)])
-        code = obs_main(["diff", "--baseline", captured, "--from", str(artifacts)])
+        main(["experiments", "E-RND", "--scale", "0.05", "--jobs", "1", "--json", str(artifacts)])
+        code = main(["obs", "diff", "--baseline", captured, "--from", str(artifacts)])
         assert code == 0
 
+    def test_from_dir_missing_artifact_is_a_usage_error(self, captured, tmp_path, capsys):
+        for command in ("diff", "report"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["obs", command, "--baseline", captured, "--from", str(tmp_path)])
+            assert excinfo.value.code == 2
+            assert str(tmp_path / "E-RND.json") in capsys.readouterr().err
+
     def test_report_renders_key_counters(self, captured, capsys):
-        code = obs_main(["report", "--baseline", captured])
+        code = main(["obs", "report", "--baseline", captured])
         assert code == 0
         out = capsys.readouterr().out
         assert "net.rounds" in out

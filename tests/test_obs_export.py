@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.obs import Metrics, Tracer, export
-from repro.obs.__main__ import main as obs_main
 from repro.protocols import CGMABroadcast, NaiveCommitReveal
 
 
@@ -140,8 +140,9 @@ class TestTimeline:
 
 class TestObsCLI:
     def test_export_writes_all_artifacts(self, tmp_path):
-        code = obs_main(
+        code = main(
             [
+                "obs",
                 "export",
                 "E-RND",
                 "--out",
@@ -166,3 +167,23 @@ class TestObsCLI:
             samples = export.parse_prometheus_text(handle.read())
         assert any(name.startswith("repro_fastpath") for name in samples)
         assert any(name.startswith("repro_crypto") or name.startswith("repro_net") for name in samples)
+
+    def test_unknown_protocol_fails_before_running(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "obs",
+                    "export",
+                    "E-RND",
+                    "--scale",
+                    "0.05",
+                    "--protocol",
+                    "nope",
+                    "--out",
+                    str(out),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "unknown protocol 'nope'" in capsys.readouterr().err
+        assert not out.exists()

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.__main__ import main
 from repro.experiments import (
     SHARDED_IDS,
     ExperimentConfig,
@@ -278,35 +279,47 @@ class TestDiffJson:
         assert any("E-Y.json" in diff for diff in diffs)
 
     def test_cli_exit_codes(self, tmp_path, capsys):
-        from repro.experiments.diffjson import main
-
         payload = {"passed": True, "metrics": {"wall_seconds": 0.5}}
         self._write(tmp_path / "a", "E-X.json", payload)
         self._write(tmp_path / "b", "E-X.json", payload)
-        assert main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+        assert main(["diffjson", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
         self._write(tmp_path / "b", "E-X.json", {"passed": False, "metrics": {}})
-        assert main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        assert main(["diffjson", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
 
 
 class TestCLIJobs:
     def test_cli_jobs_flag_parallel(self, capsys, tmp_path):
-        from repro.experiments.__main__ import main as cli_main
-
-        code = cli_main(
-            ["E-C56", "--scale", "0.05", "--jobs", "2", "--json", str(tmp_path / "par")]
+        code = main(
+            [
+                "experiments",
+                "E-C56",
+                "--scale",
+                "0.05",
+                "--jobs",
+                "2",
+                "--json",
+                str(tmp_path / "par"),
+            ]
         )
         assert code == 0
         assert "E-C56" in capsys.readouterr().out
-        serial = cli_main(
-            ["E-C56", "--scale", "0.05", "--jobs", "1", "--json", str(tmp_path / "ser")]
+        serial = main(
+            [
+                "experiments",
+                "E-C56",
+                "--scale",
+                "0.05",
+                "--jobs",
+                "1",
+                "--json",
+                str(tmp_path / "ser"),
+            ]
         )
         assert serial == 0
         capsys.readouterr()
         assert compare_dirs(str(tmp_path / "ser"), str(tmp_path / "par")) == []
 
     def test_cli_rejects_nonpositive_jobs(self, capsys):
-        from repro.experiments.__main__ import main as cli_main
-
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["E-C56", "--jobs", "0"])
+            main(["experiments", "E-C56", "--jobs", "0"])
         assert excinfo.value.code == 2

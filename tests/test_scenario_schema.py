@@ -10,9 +10,9 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.errors import ScenarioError
 from repro.scenario import Scenario
-from repro.scenario.cli import main as campaign_main
 from repro.scenario.schema import (
     fault_plan_errors,
     load_fault_plan,
@@ -174,24 +174,18 @@ class TestExperimentsFaultsFlag:
     """--faults on the experiments CLI: schema errors become parser errors."""
 
     def test_malformed_plan_is_a_clean_cli_error(self, tmp_path, capsys):
-        from repro.experiments.__main__ import main as experiments_main
-
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({"rules": [{"kind": "dropp"}]}))
         with pytest.raises(SystemExit) as excinfo:
-            experiments_main(["E-FAULT", "--faults", str(path)])
+            main(["experiments", "E-FAULT", "--faults", str(path)])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "--faults" in err
         assert "plan.rules[0].kind: expected one of" in err
 
     def test_unreadable_plan_is_a_clean_cli_error(self, tmp_path, capsys):
-        from repro.experiments.__main__ import main as experiments_main
-
         with pytest.raises(SystemExit) as excinfo:
-            experiments_main(
-                ["E-FAULT", "--faults", str(tmp_path / "missing.json")]
-            )
+            main(["experiments", "E-FAULT", "--faults", str(tmp_path / "missing.json")])
         assert excinfo.value.code == 2
         assert "cannot read" in capsys.readouterr().err
 
@@ -202,7 +196,7 @@ class TestCampaignValidateSubcommand:
         bad.write_text(json.dumps({"protocol": "bracha", "n": 4, "t": 2}))
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"protocol": "sequential"}))
-        code = campaign_main(["validate", str(bad), str(good)])
+        code = main(["campaign", "validate", str(bad), str(good)])
         out = capsys.readouterr().out
         assert code == 1
         assert f"{bad}: INVALID" in out
@@ -213,7 +207,7 @@ class TestCampaignValidateSubcommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"protocol": "quantum"}))
         with pytest.raises(SystemExit) as excinfo:
-            campaign_main(["exec", str(path)])
+            main(["campaign", "exec", str(path)])
         assert excinfo.value.code == 2
         assert "scenario.protocol" in capsys.readouterr().err
 
@@ -221,14 +215,22 @@ class TestCampaignValidateSubcommand:
         path = tmp_path / "clean.json"
         path.write_text(json.dumps({"protocol": "sequential"}))
         with pytest.raises(SystemExit) as excinfo:
-            campaign_main(["shrink", str(path)])
+            main(["campaign", "shrink", str(path)])
         assert excinfo.value.code == 2
         assert "no violation to shrink" in capsys.readouterr().err
 
     def test_run_rejects_bad_budget_and_jobs(self, capsys):
         with pytest.raises(SystemExit):
-            campaign_main(["--budget", "0"])
-        assert "--budget must be >= 1" in capsys.readouterr().err
+            main(["campaign", "--budget", "0"])
+        assert "argument --budget: must be >= 1" in capsys.readouterr().err
         with pytest.raises(SystemExit):
-            campaign_main(["--jobs", "0"])
-        assert "--jobs must be >= 1" in capsys.readouterr().err
+            main(["campaign", "--jobs", "0"])
+        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--batch", "0"])
+        assert excinfo.value.code == 2
+        assert "argument --batch: must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "diff", "--jobs", "0"])
+        assert excinfo.value.code == 2
+        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
