@@ -23,8 +23,6 @@ from repro.experiments.diffjson import strip_wall_clock
 from repro.experiments.registry import run_many
 from repro.parallel import default_jobs
 
-from .conftest import BENCH_SCALE
-
 SUBSET = ["E-COST", "E-C56", "E-C66"]
 WORKER_COUNTS = (1, 2, 4, 8)
 ARTIFACT = os.path.join(os.path.dirname(__file__), "..", "results", "BENCH_parallel.json")
@@ -36,7 +34,7 @@ def _stripped(results):
 
 def test_bench_parallel_scaling(benchmark):
     """Serial vs multi-worker wall-clock on the sharded experiment subset."""
-    config = ExperimentConfig(scale=max(BENCH_SCALE, 1.0))
+    config = ExperimentConfig(scale=1.0)
     timings = {}
     reference = None
     for jobs in WORKER_COUNTS:

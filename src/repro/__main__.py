@@ -2,15 +2,15 @@
 
 * ``experiments [ID ...]`` — regenerate the paper's tables and figures
   (all of them if no id is given); exits 1 if any reports MISMATCH;
-* ``obs {export,baseline,diff,report}`` — trace, Prometheus and timeline
-  exports, and the metrics-regression surface ``results/OBS_baseline.json``
-  (``diff`` exits 1 on counter drift);
+* ``obs export [ID ...]`` — trace, Prometheus and timeline exports;
 * ``campaign [validate|exec|shrink]`` — seeded, resumable scenario fuzzing
   over the protocol zoo with minimal-repro shrinking (:mod:`repro.scenario`);
 * ``analyze [PATH ...]`` — the determinism & protocol-discipline static
   analyzer (:mod:`repro.analysis`); exits 1 on a finding outside the baseline;
 * ``diffjson DIR DIR`` — compare two ``--json`` artifact directories,
-  ignoring wall-clock fields; exits 1 on any other difference.
+  ignoring wall-clock fields; exits 1 on any other difference.  The
+  regression surface is ``diffjson results/golden DIR``: the committed
+  artifacts of ``experiments --scale 0.15 --json DIR``.
 
 ``--jobs``, ``--seed``, ``--scale``, ``--n`` and ``--t`` are declared once,
 in :func:`build_parser`.  ``--jobs`` defaults to one worker per CPU, and
@@ -26,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from .analysis.engine import analyze_files, iter_python_files
 from .analysis.report import DEFAULT_BASELINE_PATH as ANALYSIS_BASELINE_PATH
@@ -44,17 +44,6 @@ from .experiments.diffjson import compare_dirs
 from .experiments.registry import REGISTRY, TITLES, run_many
 from .net.runtime import ENV_DELAY_MODEL, ENV_OMISSION, ENV_RUNTIME, RUNTIME_KINDS, resolve_runtime
 from .obs import Metrics, Tracer, export, flightrec, runtime
-from .obs.baseline import (
-    DEFAULT_BASELINE_PATH,
-    DEFAULT_TIMING_TOLERANCE,
-    PINNED_EXPERIMENTS,
-    PINNED_SCALE,
-    canonical_snapshot,
-    capture,
-    compare,
-    load,
-    save,
-)
 from .parallel import default_jobs
 from .scenario.campaign import (
     DEFAULT_BATCH,
@@ -68,16 +57,8 @@ from .scenario.schema import load_fault_plan, load_structured, scenario_errors
 from .scenario.shrink import shrink_violation
 from .scenario.spec import Scenario
 
-#: The headline counters ``obs report`` prints per experiment (when present).
-KEY_COUNTERS = (
-    "net.rounds",
-    "net.messages.sent",
-    "net.bytes.sent",
-    "crypto.group.exp",
-    "crypto.field.mul",
-    "crypto.hash.blocks",
-    "crypto.vss.shares_verified",
-)
+#: The default ``--scale`` of ``obs export``.
+EXPORT_SCALE = 0.15
 
 
 def _write(path: str, text: str) -> None:
@@ -157,39 +138,10 @@ def run_experiments(args: argparse.Namespace) -> int:
 # -- obs -----------------------------------------------------------------------------
 
 
-def _config_from_baseline(baseline: Dict[str, Any]) -> ExperimentConfig:
-    pinned = baseline.get("config", {})
-    return ExperimentConfig(
-        n=pinned.get("n", 5),
-        t=pinned.get("t", 2),
-        seed=pinned.get("seed", 20050717),
-        scale=pinned.get("scale", PINNED_SCALE),
-        security_bits=pinned.get("security_bits", 24),
-    )
-
-
-def _fresh_snapshots(
-    args: argparse.Namespace, experiment_ids: List[str], config: ExperimentConfig
-) -> Dict[str, Dict[str, Any]]:
-    """Canonical snapshots: read the ``--from`` artifacts, or re-run the experiments."""
-    if args.from_dir is None:
-        results = run_many(experiment_ids, config, jobs=args.jobs)
-        return {result.experiment_id: canonical_snapshot(result) for result in results}
-    paths = {e: os.path.join(args.from_dir, f"{e}.json") for e in experiment_ids}
-    missing = [path for path in paths.values() if not os.path.isfile(path)]
-    if missing:
-        args.error(f"--from {args.from_dir!r}: missing artifact(s): {', '.join(missing)}")
-    fresh = {}
-    for experiment_id, path in paths.items():
-        with open(path, encoding="utf-8") as handle:
-            fresh[experiment_id] = canonical_snapshot(json.load(handle))
-    return fresh
-
-
 def run_obs_export(args: argparse.Namespace) -> int:
     """Run experiments traced and write trace, metrics and timeline artifacts."""
     experiment_ids = _experiment_ids(args, ["E-COST"])
-    config = _config(args, PINNED_SCALE)
+    config = _config(args, EXPORT_SCALE)
     protocol = standard_protocols(config).get(args.protocol)
     if protocol is None:
         args.error(f"unknown protocol {args.protocol!r} for the timeline")
@@ -236,81 +188,6 @@ def run_obs_export(args: argparse.Namespace) -> int:
     for path in written:
         print(f"wrote {path}")
     return 0 if all(result.passed for result in results) else 1
-
-
-def run_obs_baseline(args: argparse.Namespace) -> int:
-    """Regenerate the committed metrics baseline."""
-    experiment_ids = _experiment_ids(args, list(PINNED_EXPERIMENTS))
-    baseline = capture(experiment_ids, _config(args, PINNED_SCALE), jobs=args.jobs)
-    save(baseline, args.out)
-    counters = sum(len(snapshot["counters"]) for snapshot in baseline["experiments"].values())
-    print(
-        f"baseline written to {args.out}: {len(baseline['experiments'])} "
-        f"experiment(s), {counters} counters"
-    )
-    return 0
-
-
-def run_obs_diff(args: argparse.Namespace) -> int:
-    """Compare a fresh run against the committed baseline."""
-    try:
-        baseline = load(args.baseline)
-    except (OSError, ValueError) as exc:
-        args.error(f"cannot load baseline: {exc}")
-    experiment_ids = sorted(baseline.get("experiments", {}))
-    fresh = _fresh_snapshots(args, experiment_ids, _config_from_baseline(baseline))
-    report = compare(
-        baseline, fresh, timing_tolerance=args.timing_tolerance, strict_timings=args.strict_timings
-    )
-    print(report.render())
-    return 0 if report.ok else 1
-
-
-def run_obs_report(args: argparse.Namespace) -> int:
-    """Print the key cost counters, annotated against the baseline."""
-    try:
-        baseline = load(args.baseline)
-    except (OSError, ValueError):
-        baseline = {}
-    if baseline:
-        config = _config_from_baseline(baseline)
-        experiment_ids = sorted(baseline.get("experiments", {}))
-    else:
-        config = _config(args, PINNED_SCALE)
-        experiment_ids = list(PINNED_EXPERIMENTS)
-    fresh = _fresh_snapshots(args, experiment_ids, config)
-
-    expected = baseline.get("experiments", {})
-    for experiment_id in experiment_ids:
-        snapshot = fresh[experiment_id]
-        print(f"[{experiment_id}] {'PASS' if snapshot['passed'] else 'MISMATCH'}")
-        base = expected.get(experiment_id, {})
-        base_counters = base.get("counters", {})
-        shown = 0
-        for name in KEY_COUNTERS:
-            if name not in snapshot["counters"]:
-                continue
-            value = snapshot["counters"][name]
-            line = f"  {name:<30} {value:>14,.0f}"
-            if name in base_counters:
-                mark = "=" if base_counters[name] == value else "DRIFT"
-                line += f"  (baseline {base_counters[name]:,.0f} {mark})"
-            print(line)
-            shown += 1
-        others = len(snapshot["counters"]) - shown
-        if others > 0:
-            print(f"  ... {others} more counter(s)")
-        base_timings = base.get("timings", {})
-        for name, value in sorted(snapshot["timings"].items()):
-            line = f"  {name:<30} {value:>14.3f}"
-            if base_timings.get(name, 0) > 0:
-                line += f"  (baseline {base_timings[name]:.3f}, x{value / base_timings[name]:.2f})"
-            print(line)
-    active = {name: value for name, value in export.fastpath_gauges().items() if value}
-    print(f"fastpath (process-local, not regression-gated): {len(active)} live gauge(s)")
-    for name, value in sorted(active.items()):
-        print(f"  {name:<30} {value:>14,.0f}")
-    return 0
 
 
 # -- campaign ------------------------------------------------------------------------
@@ -497,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sized = argparse.ArgumentParser(add_help=False, parents=[pooled])
     sized.add_argument(
-        "--scale", type=float, help=f"sample-size factor (default: 1.0; obs: {PINNED_SCALE})"
+        "--scale", type=float, help=f"sample-size factor (default: 1.0; obs: {EXPORT_SCALE})"
     )
     sized.add_argument("--n", type=int, default=ExperimentConfig.n, help="number of parties")
     sized.add_argument("--t", type=int, default=ExperimentConfig.t, help="corruption bound")
@@ -539,33 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
         " 'random:0.05'",
     )
 
-    about = "Observability exports and the metrics-regression surface."
+    about = "Observability exports: traces, Prometheus metrics and timelines."
     obs = commands.add_parser("obs", help=about, description=about)
     obs_commands = obs.add_subparsers(dest="subcommand", required=True)
     obs_export = _command(obs_commands, "export", run_obs_export, sized)
     obs_export.add_argument("experiments", nargs="*", metavar="ID", help="default: E-COST")
     obs_export.add_argument("--out", default="obs-artifacts", metavar="DIR")
     obs_export.add_argument("--protocol", default="cgma", help="zoo protocol for the timeline")
-    obs_baseline = _command(obs_commands, "baseline", run_obs_baseline, sized)
-    obs_baseline.add_argument(
-        "experiments", nargs="*", metavar="ID", help=f"default: {' '.join(PINNED_EXPERIMENTS)}"
-    )
-    obs_baseline.add_argument("--out", default=DEFAULT_BASELINE_PATH, metavar="PATH")
-    obs_diff = _command(obs_commands, "diff", run_obs_diff, sized)
-    obs_diff.add_argument(
-        "--timing-tolerance",
-        type=float,
-        default=DEFAULT_TIMING_TOLERANCE,
-        help="relative band for timings (default: %(default)s)",
-    )
-    obs_diff.add_argument(
-        "--strict-timings", action="store_true", help="fail on timings outside the band"
-    )
-    for compared in (obs_diff, _command(obs_commands, "report", run_obs_report, sized)):
-        compared.add_argument("--baseline", default=DEFAULT_BASELINE_PATH, metavar="PATH")
-        compared.add_argument(
-            "--from", dest="from_dir", metavar="DIR", help="read `experiments --json` artifacts"
-        )
 
     campaign = _command(commands, "campaign", run_campaign, pooled)
     campaign.add_argument("--budget", type=positive_int, default=200, metavar="N", help="scenarios")

@@ -17,6 +17,7 @@ With no corrupted parties the definition is vacuous and the gap is 0.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, Tuple
 
@@ -89,8 +90,12 @@ def g_report_from_samples(
         if len(group) >= min_condition_count
     }
 
+    # The witness is the pair with the largest certified lower bound
+    # ``gap - error``, not the largest raw gap: a big gap between two thin
+    # groups carries an error bar too wide to certify anything.
     worst_gap = 0.0
     worst_error = hoeffding_halfwidth(samples)
+    best_lower = -math.inf
     witness = ""
     keys = sorted(usable)
     comparisons = max(1, len(corrupted) * len(keys) * (len(keys) - 1) // 2)
@@ -103,11 +108,10 @@ def g_report_from_samples(
             for b_index in range(a_index + 1, len(keys)):
                 r, s = keys[a_index], keys[b_index]
                 gap = abs(rates[r] - rates[s])
-                if gap > worst_gap:
-                    worst_gap = gap
-                    worst_error = selection_halfwidth(
-                        min(len(usable[r]), len(usable[s])), comparisons
-                    )
+                error = selection_halfwidth(min(len(usable[r]), len(usable[s])), comparisons)
+                if gap - error > best_lower:
+                    best_lower = gap - error
+                    worst_gap, worst_error = gap, error
                     witness = f"corrupted P_{i}, W_honest = {r} vs {s}"
 
     if not witness:

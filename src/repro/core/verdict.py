@@ -14,8 +14,8 @@ class IndependenceReport:
 
     Attributes:
         definition: "CR", "G", "G*", "G**" or "Sb".
-        gap: the estimated maximal defining quantity (paper-speak: the
-            amount by which negligibility fails).
+        gap: the estimated defining quantity at the witness (paper-speak:
+            the amount by which negligibility fails).
         error: confidence half-width attached to ``gap``.
         samples: total protocol executions consumed.
         witness: human-readable description of the arg-max (which party,

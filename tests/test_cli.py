@@ -52,5 +52,5 @@ def test_campaign_help_lists_its_subcommands(capsys):
 
 def test_every_command_defaults_to_one_worker_per_cpu():
     parser = build_parser()
-    for command in (["experiments"], ["obs", "diff"], ["campaign"]):
+    for command in (["experiments"], ["obs", "export"], ["campaign"]):
         assert parser.parse_args(command).jobs == default_jobs()

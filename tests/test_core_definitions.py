@@ -13,11 +13,13 @@ from repro.adversaries import SequentialCopier, XorAttacker
 from repro.analysis import Decision
 from repro.core import (
     HONEST,
+    AnnouncedSample,
     MeasurementBudget,
     announce_once,
     cr_report,
     definition_grid,
     g_report,
+    g_report_from_samples,
     g_star_report,
     g_star_star_report,
     measure,
@@ -174,6 +176,33 @@ class TestGEstimator:
             min_condition_count=1000,
         )
         assert report.details["conditioning_events"] == 0
+
+    def test_witness_has_the_largest_lower_bound(self):
+        """Two thin groups with the largest raw gap lose to two thick ones.
+
+        n = 3 with P_3 corrupted: the honest groups (0,0) and (0,1) hold 10
+        draws each (rates 0.8 and 0.2), (1,0) and (1,1) hold 200 each
+        (rates 0.75 and 0.25).  The raw-gap maximum, 0.6 on the thin pair,
+        cannot be certified; 0.5 on the thick pair can.
+        """
+        draws = []
+        for honest, size, ones in (
+            ((0, 0), 10, 8),
+            ((0, 1), 10, 2),
+            ((1, 0), 200, 150),
+            ((1, 1), 200, 50),
+        ):
+            draws += [
+                AnnouncedSample(
+                    inputs=(), announced=honest + (int(k < ones),), corrupted=frozenset({3})
+                )
+                for k in range(size)
+            ]
+        report = g_report_from_samples(draws, 3, min_condition_count=10)
+        assert report.witness == "corrupted P_3, W_honest = (1, 0) vs (1, 1)"
+        assert report.gap == pytest.approx(0.5)
+        assert report.error == pytest.approx(0.117, abs=5e-4)
+        assert report.decision == Decision.VIOLATED
 
 
 class TestCRSeparatesPiG:

@@ -1,8 +1,8 @@
 """Tests for the experiment harness: registry, config, CLI, cheap experiments.
 
-The heavyweight experiments are exercised end-to-end by the benchmark
-suite; here we pin the harness machinery and run the cheap experiments at
-tiny scale.
+Every experiment's output is pinned by its committed golden artifact
+(``results/golden``, see ``tests/test_golden.py``); here we pin the harness
+machinery and run the cheap experiments at tiny scale.
 """
 
 import pytest
@@ -115,6 +115,11 @@ class TestCLI:
     def test_cli_scale_and_seed_flags(self, capsys):
         code = main(["experiments", "E-RND", "--scale", "0.05", "--seed", "7"])
         assert code == 0
+
+    def test_cli_list_prints_every_id_and_title(self, capsys):
+        assert main(["experiments", "--list"]) == 0
+        printed = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines())
+        assert printed == TITLES
 
     def test_cli_unknown_experiment_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,0 +1,49 @@
+"""The regression surface: the committed golden artifacts in ``results/golden``.
+
+``results/golden`` holds what ``python -m repro experiments --scale 0.15
+--json results/golden`` writes: one artifact per registry experiment.  CI
+diffs a full serial run against it with ``python -m repro diffjson``; here
+the fast experiments are re-run and compared by the same rules (wall-clock
+fields stripped, NaN equal to NaN), so counter drift fails plain pytest.
+
+A change that moves an artifact on purpose regenerates only the ids it
+changes, with the command above followed by those ids.
+"""
+
+import json
+import pathlib
+import shutil
+
+import pytest
+
+from repro.__main__ import main
+from repro.experiments import REGISTRY
+from repro.experiments.diffjson import compare_dirs
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "results" / "golden"
+
+#: The experiments fast enough for tier-1 at the golden scale.
+FAST = ("E-C56", "E-RND", "E-COST", "E-ABL", "E-FAULT")
+
+
+def test_one_passing_artifact_per_experiment():
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(f"{e}.json" for e in REGISTRY)
+    for experiment_id in REGISTRY:
+        artifact = json.loads((GOLDEN / f"{experiment_id}.json").read_text(encoding="utf-8"))
+        assert artifact["passed"], f"{experiment_id} is golden as MISMATCH"
+
+
+def test_fast_experiments_match_their_golden_artifacts(tmp_path, monkeypatch, capsys):
+    # The golden artifacts are lockstep runs; a runtime exported by the
+    # caller's shell must not leak in.
+    for key in ("REPRO_RUNTIME", "REPRO_DELAY_MODEL", "REPRO_OMISSION"):
+        monkeypatch.delenv(key, raising=False)
+    golden, fresh = tmp_path / "golden", tmp_path / "fresh"
+    golden.mkdir()
+    for experiment_id in FAST:
+        shutil.copy(GOLDEN / f"{experiment_id}.json", golden)
+    argv = ["experiments", "--scale", "0.15", "--jobs", "1", "--json", str(fresh), *FAST]
+    assert main(argv) == 0
+    diffs = compare_dirs(str(golden), str(fresh))
+    if diffs:
+        pytest.fail("drift from results/golden:\n" + "\n".join(diffs))

@@ -231,6 +231,6 @@ class TestCampaignValidateSubcommand:
         assert excinfo.value.code == 2
         assert "argument --batch: must be >= 1" in capsys.readouterr().err
         with pytest.raises(SystemExit) as excinfo:
-            main(["obs", "diff", "--jobs", "0"])
+            main(["obs", "export", "--jobs", "0"])
         assert excinfo.value.code == 2
         assert "argument --jobs: must be >= 1" in capsys.readouterr().err
