@@ -85,13 +85,21 @@ class PrimeField:
 
     def element(self, value: IntoElement) -> "FieldElement":
         """Coerce ``value`` into this field (reducing integers mod p)."""
+        return FieldElement(self, self.residue(value))
+
+    def residue(self, value: IntoElement) -> int:
+        """``self.element(value).value`` without building the element.
+
+        Raises:
+            InvalidParameterError: for an element of a different field.
+        """
         if isinstance(value, FieldElement):
             if value.field is not self and value.field.modulus != self.modulus:
                 raise InvalidParameterError(
                     f"element of GF({value.field.modulus}) used in GF({self.modulus})"
                 )
-            return FieldElement(self, value.value)
-        return FieldElement(self, value % self.modulus)
+            return value.value
+        return value % self.modulus
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
 
+from .. import fastpath
 from ..errors import InvalidParameterError, ShareError
+from ..obs import runtime as _obs
 from .field import FieldElement, IntoElement, PrimeField
 from .polynomial import Polynomial, lagrange_coefficients_at_zero
 
@@ -48,11 +50,18 @@ class ShamirSharing:
         The polynomial is returned so verifiable schemes (VSS) can commit to
         its coefficients; plain callers should discard it.
         """
+        field = self.field
         polynomial = Polynomial.random(
-            self.field, self.threshold, rng, constant_term=self.field.element(secret)
+            field, self.threshold, rng, constant_term=field.element(secret)
         )
+        coefficients = [c.value for c in polynomial.coefficients]
+        # Horner's rule charges one multiplication per (stripped) coefficient
+        # and evaluation point.
+        if coefficients and _obs.metrics is not None:
+            _obs.metrics.inc("crypto.field.mul", len(coefficients) * self.parties)
+        points = fastpath.shamir_points(field.modulus, coefficients, self.parties)
         shares = {
-            i: Share(i, polynomial(i)) for i in range(1, self.parties + 1)
+            i: Share(i, FieldElement(field, value)) for i, value in enumerate(points, 1)
         }
         return polynomial, shares
 
@@ -66,13 +75,15 @@ class ShamirSharing:
                 f"need {self.threshold + 1} shares, got {len(share_list)}"
             )
         subset = share_list[: self.threshold + 1]
-        coefficients = lagrange_coefficients_at_zero(
-            self.field, [s.x for s in subset]
+        field = self.field
+        coefficients = lagrange_coefficients_at_zero(field, [s.x for s in subset])
+        total = sum(
+            coefficient.value * field.residue(share.value)
+            for coefficient, share in zip(coefficients, subset, strict=True)
         )
-        secret = self.field.zero()
-        for coefficient, share in zip(coefficients, subset, strict=True):
-            secret = secret + coefficient * share.value
-        return secret
+        if _obs.metrics is not None:
+            _obs.metrics.inc("crypto.field.mul", len(subset))
+        return FieldElement(field, total % field.modulus)
 
     def reconstruct_with_errors(self, shares: Sequence[Share]) -> FieldElement:
         """Reconstruct while checking global consistency of all shares.

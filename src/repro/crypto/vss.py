@@ -23,7 +23,6 @@ from ..obs import runtime as _obs
 from .commitment import PedersenCommitment, PedersenParameters
 from .field import FieldElement
 from .group import GroupElement, SchnorrGroup
-from .polynomial import lagrange_coefficients_at_zero
 from .secret_sharing import ShamirSharing, Share
 
 
@@ -73,8 +72,16 @@ class PedersenDealing:
     shares: Dict[int, PedersenShare]
 
 
-class FeldmanVSS:
-    """Feldman verifiable secret sharing over a Schnorr group."""
+class _VerifiableSharing:
+    """What Feldman and Pedersen VSS share: batched verdicts and reconstruction.
+
+    Subclasses supply :meth:`_batch_verdicts` (the RLC kernel plus its
+    per-item fallback), :meth:`_share_key` (a share's full content) and
+    :attr:`_CHECK_COST`, the exponentiations (and multiplications) one
+    share check costs beyond the threshold+1 of the commitment product.
+    """
+
+    _CHECK_COST: int
 
     def __init__(self, group: SchnorrGroup, threshold: int, parties: int):
         self.group = group
@@ -82,6 +89,87 @@ class FeldmanVSS:
         self.sharing = ShamirSharing(self.field, threshold, parties)
         self.threshold = threshold
         self.parties = parties
+        #: Per-share verdicts of every batched reconstruction so far, keyed
+        #: by its full content; see :meth:`reconstruct`.
+        self._verdicts: Dict[Tuple, List[bool]] = {}
+
+    def _batch_verdicts(self, commitment_values: List[int], shares: List) -> List[bool]:
+        raise NotImplementedError
+
+    @staticmethod
+    def _share_key(share) -> Tuple:
+        raise NotImplementedError
+
+    def _batched(self, commitments: Sequence[GroupElement], shares: List) -> bool:
+        """Whether ``shares`` take the batch path (else one check per share)."""
+        return len(shares) >= BATCH_MIN_SHARES and len(commitments) == self.threshold + 1
+
+    def _charge_batch(self, verdicts: List[bool]) -> None:
+        """Charge what one ``verify_share`` per verdict would have charged."""
+        if _obs.metrics is not None:
+            count = len(verdicts)
+            _obs.metrics.inc("crypto.vss.shares_verified", count)
+            _obs.metrics.inc("crypto.group.exp", count * (self.threshold + 1 + self._CHECK_COST))
+            _obs.metrics.inc("crypto.group.mul", count * (self.threshold + self._CHECK_COST))
+            rejected = verdicts.count(False)
+            if rejected:
+                _obs.metrics.inc("crypto.vss.shares_rejected", rejected)
+
+    def verify_shares(self, commitments: Sequence[GroupElement], shares: Sequence) -> List[bool]:
+        """Per-share verdicts, batched: one RLC multi-exp instead of m checks.
+
+        Equivalent to ``[self.verify_share(commitments, s) for s in shares]``
+        including the charged ``crypto.*`` counter totals — batching is a
+        cost optimization, not a semantics change.  A batch *accept* vouches
+        for every share (soundness error ~2**-COMBINER_BITS, see
+        :mod:`repro.fastpath.batch`); a batch *reject* falls back to silent
+        per-item kernel checks so the individual verdicts are exact.
+        """
+        shares = list(shares)
+        if not self._batched(commitments, shares):
+            return [self.verify_share(commitments, s) for s in shares]
+        verdicts = self._batch_verdicts([c.value for c in commitments], shares)
+        self._charge_batch(verdicts)
+        return verdicts
+
+    def reconstruct(self, commitments: Sequence[GroupElement], shares: Iterable) -> FieldElement:
+        """Reconstruct from shares, discarding any that fail verification.
+
+        In a reveal every party reconstructs every dealer's secret from the
+        same broadcast shares, so the batch verdicts are memoized on this
+        instance, keyed by the full content: the commitment values and the
+        ordered share contents.  The verdicts are a pure function of that
+        content (the batch combiners are hashed from it), so a hit is
+        exact, and it is charged what a recomputation would be.  One
+        instance serves one execution, so the memo needs no cap.
+        """
+        shares = list(shares)
+        if not self._batched(commitments, shares):
+            verdicts = self.verify_shares(commitments, shares)
+        else:
+            key = (tuple(c.value for c in commitments), tuple(map(self._share_key, shares)))
+            verdicts = self._verdicts.get(key)
+            if verdicts is None:
+                verdicts = self._batch_verdicts([c.value for c in commitments], shares)
+                self._verdicts[key] = verdicts
+            self._charge_batch(verdicts)
+        seen = {}
+        for share, ok in zip(shares, verdicts, strict=True):
+            if ok:
+                seen.setdefault(share.x, share)
+        unique = list(seen.values())
+        if len(unique) < self.threshold + 1:
+            raise ShareError(
+                f"only {len(unique)} valid shares; need {self.threshold + 1}"
+            )
+        return self.sharing.reconstruct(unique)
+
+
+class FeldmanVSS(_VerifiableSharing):
+    """Feldman verifiable secret sharing over a Schnorr group."""
+
+    # The share check computes g**v against the commitment product.
+    _CHECK_COST = 1
 
     def deal(self, secret: int, rng) -> FeldmanDealing:
         if _obs.metrics is not None:
@@ -109,47 +197,24 @@ class FeldmanVSS:
             _obs.metrics.inc("crypto.vss.shares_rejected")
         return ok
 
-    def verify_shares(
-        self, commitments: Sequence[GroupElement], shares: Sequence[Share]
-    ) -> List[bool]:
-        """Per-share verdicts, batched: one RLC multi-exp instead of m checks.
+    @staticmethod
+    def _share_key(share: Share) -> Tuple:
+        return (share.x, share.value.value)
 
-        Equivalent to ``[self.verify_share(commitments, s) for s in shares]``
-        including the charged ``crypto.*`` counter totals — batching is a
-        cost optimization, not a semantics change.  A batch *accept* vouches
-        for every share (soundness error ~2**-COMBINER_BITS, see
-        :mod:`repro.fastpath.batch`); a batch *reject* falls back to silent
-        per-item kernel checks so the individual verdicts are exact.
-        """
-        shares = list(shares)
-        count = len(shares)
-        if count < BATCH_MIN_SHARES or len(commitments) != self.threshold + 1:
-            return [self.verify_share(commitments, s) for s in shares]
+    def _batch_verdicts(self, commitment_values: List[int], shares: List[Share]) -> List[bool]:
         group = self.group
         generator = group.generator.value
-        commitment_values = [c.value for c in commitments]
         values = [group.normalize_exponent(s.value.value) for s in shares]
         xs = [s.x for s in shares]
         if fastpath.feldman_batch_verify(
             group.p, group.q, generator, commitment_values, xs, values
         ):
-            verdicts = [True] * count
-        else:
-            verdicts = [
-                fastpath.pow_mod(group.p, group.q, generator, value)
-                == fastpath.vss_expected(group.p, group.q, commitment_values, x)
-                for x, value in zip(xs, values, strict=True)
-            ]
-        if _obs.metrics is not None:
-            # The per-share cost of verify_share: threshold+2 exponentiations
-            # and threshold+1 multiplications each, plus the verdict counters.
-            _obs.metrics.inc("crypto.vss.shares_verified", count)
-            _obs.metrics.inc("crypto.group.exp", count * (self.threshold + 2))
-            _obs.metrics.inc("crypto.group.mul", count * (self.threshold + 1))
-            rejected = verdicts.count(False)
-            if rejected:
-                _obs.metrics.inc("crypto.vss.shares_rejected", rejected)
-        return verdicts
+            return [True] * len(shares)
+        return [
+            fastpath.pow_mod(group.p, group.q, generator, value)
+            == fastpath.vss_expected(group.p, group.q, commitment_values, x)
+            for x, value in zip(xs, values, strict=True)
+        ]
 
     def commitment_to_secret(self, commitments: Sequence[GroupElement]) -> GroupElement:
         """The implied commitment g^s to the shared secret (x = 0)."""
@@ -157,26 +222,13 @@ class FeldmanVSS:
             raise InvalidParameterError("empty commitment vector")
         return commitments[0]
 
-    def reconstruct(
-        self, commitments: Sequence[GroupElement], shares: Iterable[Share]
-    ) -> FieldElement:
-        """Reconstruct from shares, discarding any that fail verification."""
-        shares = list(shares)
-        verdicts = self.verify_shares(commitments, shares)
-        valid = [s for s, ok in zip(shares, verdicts, strict=True) if ok]
-        seen = {}
-        for share in valid:
-            seen.setdefault(share.x, share)
-        unique = list(seen.values())
-        if len(unique) < self.threshold + 1:
-            raise ShareError(
-                f"only {len(unique)} valid shares; need {self.threshold + 1}"
-            )
-        return self.sharing.reconstruct(unique)
 
-
-class PedersenVSS:
+class PedersenVSS(_VerifiableSharing):
     """Pedersen verifiable secret sharing (perfectly hiding)."""
+
+    # The share check computes g**v * h**b: one exponentiation and one
+    # multiplication more than Feldman.
+    _CHECK_COST = 2
 
     def __init__(
         self,
@@ -184,13 +236,9 @@ class PedersenVSS:
         threshold: int,
         parties: int,
     ):
+        super().__init__(parameters.group, threshold, parties)
         self.parameters = parameters
-        self.group = parameters.group
         self.scheme = PedersenCommitment(parameters)
-        self.field = self.group.exponent_field
-        self.sharing = ShamirSharing(self.field, threshold, parties)
-        self.threshold = threshold
-        self.parties = parties
 
     def deal(self, secret: int, rng) -> PedersenDealing:
         if _obs.metrics is not None:
@@ -231,59 +279,25 @@ class PedersenVSS:
             _obs.metrics.inc("crypto.vss.shares_rejected")
         return ok
 
-    def verify_shares(
-        self, commitments: Sequence[GroupElement], shares: Sequence[PedersenShare]
+    @staticmethod
+    def _share_key(share: PedersenShare) -> Tuple:
+        return (share.x, share.value.value, share.blinding.value)
+
+    def _batch_verdicts(
+        self, commitment_values: List[int], shares: List[PedersenShare]
     ) -> List[bool]:
-        """Per-share verdicts via RLC batching (see :meth:`FeldmanVSS.verify_shares`)."""
-        shares = list(shares)
-        count = len(shares)
-        if count < BATCH_MIN_SHARES or len(commitments) != self.threshold + 1:
-            return [self.verify_share(commitments, s) for s in shares]
         group = self.group
         g = self.parameters.g.value
         h = self.parameters.h.value
-        commitment_values = [c.value for c in commitments]
         values = [group.normalize_exponent(s.value.value) for s in shares]
         blindings = [group.normalize_exponent(s.blinding.value) for s in shares]
         xs = [s.x for s in shares]
         if fastpath.pedersen_vss_batch_verify(
             group.p, group.q, g, h, commitment_values, xs, values, blindings
         ):
-            verdicts = [True] * count
-        else:
-            verdicts = [
-                fastpath.pedersen_commit(group.p, group.q, g, h, value, blinding)
-                == fastpath.vss_expected(group.p, group.q, commitment_values, x)
-                for x, value, blinding in zip(xs, values, blindings, strict=True)
-            ]
-        if _obs.metrics is not None:
-            # The per-share cost of verify_share: threshold+3 exponentiations
-            # and threshold+2 multiplications each, plus the verdict counters.
-            _obs.metrics.inc("crypto.vss.shares_verified", count)
-            _obs.metrics.inc("crypto.group.exp", count * (self.threshold + 3))
-            _obs.metrics.inc("crypto.group.mul", count * (self.threshold + 2))
-            rejected = verdicts.count(False)
-            if rejected:
-                _obs.metrics.inc("crypto.vss.shares_rejected", rejected)
-        return verdicts
-
-    def reconstruct(
-        self, commitments: Sequence[GroupElement], shares: Iterable[PedersenShare]
-    ) -> FieldElement:
-        shares = list(shares)
-        verdicts = self.verify_shares(commitments, shares)
-        valid = [s for s, ok in zip(shares, verdicts, strict=True) if ok]
-        seen = {}
-        for share in valid:
-            seen.setdefault(share.x, share)
-        unique = list(seen.values())
-        if len(unique) < self.threshold + 1:
-            raise ShareError(
-                f"only {len(unique)} valid shares; need {self.threshold + 1}"
-            )
-        subset = unique[: self.threshold + 1]
-        coefficients = lagrange_coefficients_at_zero(self.field, [s.x for s in subset])
-        secret = self.field.zero()
-        for coefficient, share in zip(coefficients, subset, strict=True):
-            secret = secret + coefficient * share.value
-        return secret
+            return [True] * len(shares)
+        return [
+            fastpath.pedersen_commit(group.p, group.q, g, h, value, blinding)
+            == fastpath.vss_expected(group.p, group.q, commitment_values, x)
+            for x, value, blinding in zip(xs, values, blindings, strict=True)
+        ]

@@ -1,11 +1,11 @@
 """repro.fastpath — the arithmetic kernels behind the crypto layer.
 
 The crypto layer (:mod:`repro.crypto.group`, ``commitment``, ``vss``,
-``polynomial``) routes its inner loops through these kernels; there is no
-other path.  Every kernel computes *exactly* the value of the textbook
-formula it implements — see :mod:`.kernels` for the per-kernel
-equivalence argument and DESIGN.md §7 for the cache rules.  The
-textbook loops themselves live on as test oracles in
+``polynomial``, ``secret_sharing``) routes its inner loops through these
+kernels; there is no other path.  Every kernel computes *exactly* the
+value of the textbook formula it implements — see :mod:`.kernels` for
+the per-kernel equivalence argument and DESIGN.md §7 for the cache
+rules.  The textbook loops themselves live on as test oracles in
 ``tests/crypto_oracles.py``.
 
 Telemetry: ``fastpath.stats()`` snapshots the process-local ``fastpath.*``
@@ -41,6 +41,7 @@ from .kernels import (  # noqa: F401  (re-exported kernel API)
     multi_pow,
     pedersen_commit,
     pow_mod,
+    shamir_points,
     vss_expected,
 )
 

@@ -18,15 +18,33 @@ model permits anyway.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from ..crypto.field import FieldElement
+from ..crypto.field import FieldElement, PrimeField
 from ..crypto.polynomial import lagrange_coefficients_at_zero
 from ..crypto.secret_sharing import ShamirSharing, Share
 from ..errors import InvalidParameterError, ShareError
 from ..net.message import send
 from ..obs import runtime as _obs
 from .circuit import ADD, CONST, INPUT, MUL, SCALE, SUB, Circuit
+
+
+def recombine(
+    field_: PrimeField, lagrange: Sequence[int], received: Mapping[int, int]
+) -> FieldElement:
+    """``sum_j lagrange[j-1] * received[j]`` over parties ``j = 1..n``.
+
+    The degree-reduction step: party ``j`` reshared its degree-2t product
+    share, and the Lagrange coefficients at zero for ``x = 1..n`` (as ints)
+    recombine the subshares into a degree-t share of the product.  Summed
+    on ints and charged at the boxed loop's cost, one multiplication per
+    party.
+    """
+    n = len(lagrange)
+    if _obs.metrics is not None:
+        _obs.metrics.inc("crypto.field.mul", n)
+    total = sum(lagrange[j - 1] * received[j] for j in range(1, n + 1))
+    return FieldElement(field_, total % field_.modulus)
 
 
 def bgw_evaluate(
@@ -58,7 +76,7 @@ def bgw_evaluate(
     in_tag = f"bgw:{instance}:in"
     mul_tag = f"bgw:{instance}:mul"
     out_tag = f"bgw:{instance}:out"
-    lagrange = lagrange_coefficients_at_zero(field_, list(range(1, n + 1)))
+    lagrange = [c.value for c in lagrange_coefficients_at_zero(field_, range(1, n + 1))]
 
     # ---- round 1: share inputs ---------------------------------------------------
     my_wires = circuit.inputs_of(me)
@@ -143,9 +161,7 @@ def bgw_evaluate(
         inbox = yield [
             send(j, tuple(per_recipient[j]), tag=mul_tag) for j in range(1, n + 1)
         ]
-        contributions: Dict[int, Dict[int, FieldElement]] = {
-            g: {} for g in pending_muls
-        }
+        contributions: Dict[int, Dict[int, int]] = {g: {} for g in pending_muls}
         for message in inbox.with_tag(mul_tag):
             try:
                 entries = list(message.payload)
@@ -157,9 +173,7 @@ def bgw_evaluate(
                 except (TypeError, ValueError):
                     continue
                 if gate_id in contributions:
-                    contributions[gate_id].setdefault(
-                        message.sender, field_.element(raw)
-                    )
+                    contributions[gate_id].setdefault(message.sender, field_.residue(raw))
         for gate_id in pending_muls:
             received = contributions[gate_id]
             if len(received) < n:
@@ -167,10 +181,7 @@ def bgw_evaluate(
                 raise ShareError(
                     f"degree reduction missing contributions from {missing}"
                 )
-            reduced = field_.zero()
-            for j in range(1, n + 1):
-                reduced = reduced + lagrange[j - 1] * received[j]
-            shares[gate_id] = reduced
+            shares[gate_id] = recombine(field_, lagrange, received)
 
     # ---- output round --------------------------------------------------------------
     my_output_shares = tuple(

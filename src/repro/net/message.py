@@ -15,7 +15,7 @@ speak; that policy lives in :mod:`repro.net.scheduler`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 BROADCAST = -1
 """Sentinel recipient meaning "deliver to every party"."""
@@ -69,12 +69,31 @@ class Draft:
 
 
 class Inbox:
-    """The messages delivered to one party at the start of a round."""
+    """The messages delivered to one party at the start of a round.
 
-    __slots__ = ("_messages",)
+    Per-sender lookups go through an index built on the first
+    :meth:`from_sender` / :meth:`first_from` call (each sender's messages
+    in inbox order), so a party reading every sender's messages walks the
+    inbox once, not once per sender.
+    """
+
+    __slots__ = ("_messages", "_by_sender")
 
     def __init__(self, messages: Optional[List[Message]] = None) -> None:
         self._messages = list(messages or ())
+        self._by_sender: Optional[Dict[int, List[Message]]] = None
+
+    def _sender_index(self) -> Dict[int, List[Message]]:
+        index = self._by_sender
+        if index is None:
+            index = self._by_sender = {}
+            for message in self._messages:
+                bucket = index.get(message.sender)
+                if bucket is None:
+                    index[message.sender] = [message]
+                else:
+                    bucket.append(message)
+        return index
 
     def __iter__(self) -> Iterator[Message]:
         return iter(self._messages)
@@ -89,15 +108,16 @@ class Inbox:
         return tuple(self._messages)
 
     def from_sender(self, sender: int, tag: Optional[str] = None) -> List[Message]:
-        return [
-            m
-            for m in self._messages
-            if m.sender == sender and (tag is None or m.tag == tag)
-        ]
+        messages = self._sender_index().get(sender, ())
+        if tag is None:
+            return list(messages)
+        return [m for m in messages if m.tag == tag]
 
     def first_from(self, sender: int, tag: Optional[str] = None) -> Optional[Message]:
-        matches = self.from_sender(sender, tag)
-        return matches[0] if matches else None
+        for message in self._sender_index().get(sender, ()):
+            if tag is None or message.tag == tag:
+                return message
+        return None
 
     def with_tag(self, tag: str) -> List[Message]:
         return [m for m in self._messages if m.tag == tag]

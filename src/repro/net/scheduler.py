@@ -404,14 +404,22 @@ class Scheduler:
             metrics.inc("net.messages.sent", len(traffic))
             metrics.inc("net.messages.honest", len(honest_traffic))
             metrics.inc("net.messages.corrupted", len(corrupted_traffic))
-            round_bytes = 0
+            # Per-sender totals are folded over the batch, then charged once.
+            sent: Dict[int, int] = {}
+            sent_bytes: Dict[int, int] = {}
+            broadcasts = 0
             for message in traffic:
-                size = payload_size(message.payload)
-                round_bytes += size
-                metrics.inc(f"net.messages.sent.party.{message.sender}")
-                metrics.inc(f"net.bytes.sent.party.{message.sender}", size)
-                if message.is_broadcast:
-                    metrics.inc("net.messages.broadcast")
+                sender = message.sender
+                sent[sender] = sent.get(sender, 0) + 1
+                sent_bytes[sender] = sent_bytes.get(sender, 0) + payload_size(message.payload)
+                if message.recipient == BROADCAST:
+                    broadcasts += 1
+            for sender, count in sent.items():
+                metrics.inc(f"net.messages.sent.party.{sender}", count)
+                metrics.inc(f"net.bytes.sent.party.{sender}", sent_bytes[sender])
+            if broadcasts:
+                metrics.inc("net.messages.broadcast", broadcasts)
+            round_bytes = sum(sent_bytes.values())
             metrics.inc("net.bytes.sent", round_bytes)
             metrics.observe("net.round.messages", len(traffic))
             metrics.observe("net.round.bytes", round_bytes)

@@ -143,13 +143,15 @@ class Metrics:
 def payload_size(payload: Any) -> int:
     """Wire size of a message payload in bytes.
 
-    Uses the library's canonical encoding (the same bytes commitments and
-    signatures hash over).  Payloads an adversary smuggles in that the
-    canonical encoding rejects are charged their ``repr`` size so byte
-    accounting never raises mid-run.
+    The length of the library's canonical encoding (the same bytes
+    commitments and signatures hash over), computed by
+    :func:`repro.serialization.encoded_size` without building them.
+    Payloads an adversary smuggles in that the canonical encoding rejects
+    are charged their ``repr`` size so byte accounting never raises
+    mid-run.
     """
     try:
-        return len(serialization.encode(payload))
+        return serialization.encoded_size(payload)
     except TypeError:
         return len(repr(payload).encode("utf-8"))
 

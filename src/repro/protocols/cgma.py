@@ -71,7 +71,11 @@ class CGMABroadcast(ParallelBroadcastProtocol):
             raise InvalidParameterError(f"CGMA requires t < n/2 (got t={t}, n={n})")
 
     def setup(self, rng):
-        return {"group": SchnorrGroup.for_security(self.security_bits)}
+        # One VSS instance per execution, shared by every party: each
+        # dealer's reveal is then batch-verified once, not once per party
+        # (see the reveal memo of FeldmanVSS.reconstruct).
+        group = SchnorrGroup.for_security(self.security_bits)
+        return {"group": group, "vss": self._make_vss(group)}
 
     # -- VSS flavour indirection ----------------------------------------------------
 
@@ -196,8 +200,7 @@ class CGMABroadcast(ParallelBroadcastProtocol):
     # -- the full protocol -----------------------------------------------------------
 
     def program(self, ctx, value):
-        group = ctx.config["group"]
-        vss = self._make_vss(group)
+        vss = ctx.config["vss"]
         states: Dict[int, _DealerState] = {}
 
         if self.sequential_dealing:

@@ -67,6 +67,34 @@ def encode(value: Any) -> bytes:
     raise TypeError(f"cannot canonically encode value of type {type(value).__name__}")
 
 
+def encoded_size(value: Any) -> int:
+    """``len(encode(value))``, computed without building the bytes.
+
+    Byte accounting needs only the length of every message's encoding;
+    this walks the value once and builds no bytes, except to measure
+    non-ASCII text (its UTF-8 length is taken from the encoded form).
+
+    Raises:
+        TypeError: on exactly the values :func:`encode` rejects.
+    """
+    if value is None or value is True or value is False:
+        return 1
+    if isinstance(value, int):
+        return 2 + _LEN_BYTES + max(1, (value.bit_length() + 7) // 8)
+    if isinstance(value, str):
+        length = len(value) if value.isascii() else len(value.encode("utf-8"))
+        return 1 + _LEN_BYTES + length
+    if isinstance(value, (bytes, bytearray)):
+        return 1 + _LEN_BYTES + len(value)
+    if isinstance(value, (tuple, list)):
+        return 1 + _LEN_BYTES + sum(map(encoded_size, value))
+    if isinstance(value, dict):
+        return 1 + _LEN_BYTES + sum(
+            encoded_size(key) + encoded_size(val) for key, val in value.items()
+        )
+    raise TypeError(f"cannot canonically encode value of type {type(value).__name__}")
+
+
 def encode_many(*values: Any) -> bytes:
     """Encode several values as a single canonical tuple."""
     return encode(tuple(values))

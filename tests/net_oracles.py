@@ -17,6 +17,12 @@ flight records.  It draws from the execution RNG in the order
 :func:`repro.net.run_protocol` does, so the same seed gives the same run.
 ``tests/test_net_runtime.py`` and ``tests/test_net_runtime_properties.py``
 compare the engine with it on both presets.
+
+:func:`observe_round` is the other oracle here: the scheduler's per-round
+byte and message accounting written as one ``Metrics.inc`` per counter
+per message, sizing each payload by encoding it.
+``tests/test_net_scheduler.py`` compares the engine's folded accounting
+with it.
 """
 
 import random
@@ -29,6 +35,8 @@ from repro.net.message import Inbox, Message, RoundRecord
 from repro.net.party import PartyContext, PartyState
 from repro.net.scheduler import DEFAULT_MAX_ROUNDS
 from repro.net.transcript import Execution
+from repro.obs import Metrics
+from repro.serialization import encode
 
 
 def run_lockstep(
@@ -150,3 +158,30 @@ def same_run(execution: Execution, oracle: Execution) -> bool:
         and execution.timed_out == oracle.timed_out
         and execution.faults == oracle.faults
     )
+
+
+def observe_round(
+    metrics: Metrics,
+    traffic: Sequence[Message],
+    honest_traffic: Sequence[Message],
+    corrupted_traffic: Sequence[Message],
+) -> None:
+    """Charge one round's network counters and histograms message by message."""
+    metrics.inc("net.rounds")
+    metrics.inc("net.messages.sent", len(traffic))
+    metrics.inc("net.messages.honest", len(honest_traffic))
+    metrics.inc("net.messages.corrupted", len(corrupted_traffic))
+    round_bytes = 0
+    for message in traffic:
+        try:
+            size = len(encode(message.payload))
+        except TypeError:
+            size = len(repr(message.payload).encode("utf-8"))
+        round_bytes += size
+        metrics.inc(f"net.messages.sent.party.{message.sender}")
+        metrics.inc(f"net.bytes.sent.party.{message.sender}", size)
+        if message.is_broadcast:
+            metrics.inc("net.messages.broadcast")
+    metrics.inc("net.bytes.sent", round_bytes)
+    metrics.observe("net.round.messages", len(traffic))
+    metrics.observe("net.round.bytes", round_bytes)

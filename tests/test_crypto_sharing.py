@@ -1,17 +1,21 @@
 """Tests for Shamir sharing and both VSS schemes."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import fastpath
 from repro.crypto.commitment import PedersenParameters
 from repro.crypto.field import PrimeField
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.secret_sharing import ShamirSharing, Share
 from repro.crypto.vss import FeldmanVSS, PedersenVSS
 from repro.errors import InvalidParameterError, ShareError
+from repro.obs import Metrics
+from repro.obs import runtime as obs_runtime
 
 F = PrimeField(101)
 GROUP = SchnorrGroup.for_security(24)
@@ -211,3 +215,76 @@ class TestPedersenVSS:
         # that commitments are not trivially equal to g^s).
         dealing0 = self.vss.deal(0, random.Random(10))
         assert dealing0.commitments[0] != GROUP.power(0)
+
+
+VSS_FLAVOURS = {
+    "feldman": lambda: FeldmanVSS(GROUP, threshold=2, parties=5),
+    "pedersen": lambda: PedersenVSS(PARAMS, threshold=2, parties=5),
+}
+
+
+def _bumped(share, field="value"):
+    return dataclasses.replace(share, **{field: getattr(share, field) + 1})
+
+
+def _observed_reconstruct(vss, commitments, shares):
+    """The secret (or the ShareError) and the counters one reconstruct charged."""
+    with obs_runtime.observed(metrics=Metrics()) as (_, metrics):
+        try:
+            outcome = vss.reconstruct(commitments, shares).value
+        except ShareError as error:
+            outcome = f"ShareError: {error}"
+    return outcome, metrics.snapshot()
+
+
+class TestRevealMemo:
+    """``reconstruct`` memoizes verdicts per instance; a hit charges as a recompute."""
+
+    @pytest.mark.parametrize("flavour", sorted(VSS_FLAVOURS))
+    @pytest.mark.parametrize("bad", [0, 1, 3])
+    def test_repeat_on_one_instance_equals_fresh_instances(self, flavour, bad):
+        """All valid (batch accept), one bad (per-item fallback) and three bad
+        (too few valid shares: ShareError)."""
+        make = VSS_FLAVOURS[flavour]
+        dealing = make().deal(1, random.Random(40 + bad))
+        shares = list(dealing.shares.values())
+        shares[:bad] = [_bumped(share) for share in shares[:bad]]
+        fastpath.reset_stats()
+        vss = make()
+        repeated = [_observed_reconstruct(vss, dealing.commitments, shares) for _ in range(2)]
+        assert fastpath.stats()["counters"]["fastpath.batch.calls"] == 1
+        fresh = [_observed_reconstruct(make(), dealing.commitments, shares) for _ in range(2)]
+        assert repeated == fresh
+        assert repeated[0] == repeated[1]
+        assert repeated[0][0] == (1 if bad < 3 else "ShareError: only 2 valid shares; need 3")
+
+    @pytest.mark.parametrize(
+        "flavour,change",
+        [
+            ("feldman", "x"),
+            ("feldman", "value"),
+            ("feldman", "commitment"),
+            ("pedersen", "x"),
+            ("pedersen", "value"),
+            ("pedersen", "blinding"),
+            ("pedersen", "commitment"),
+        ],
+    )
+    def test_changed_content_misses_the_memo(self, flavour, change):
+        make = VSS_FLAVOURS[flavour]
+        vss = make()
+        dealing = vss.deal(1, random.Random(50))
+        commitments, shares = dealing.commitments, list(dealing.shares.values())
+        assert _observed_reconstruct(vss, commitments, shares)[0] == 1  # all valid, memoized
+        if change == "commitment":
+            commitments = (commitments[0] * GROUP.generator, *commitments[1:])
+        elif change == "x":
+            shares[1] = dataclasses.replace(shares[1], x=6)
+        else:
+            shares[1] = _bumped(shares[1], change)
+        fastpath.reset_stats()
+        changed = _observed_reconstruct(vss, commitments, shares)
+        assert fastpath.stats()["counters"]["fastpath.batch.calls"] == 1  # a miss
+        assert changed == _observed_reconstruct(make(), commitments, shares)
+        rejected = changed[1]["counters"]["crypto.vss.shares_rejected"]
+        assert rejected == (5 if change == "commitment" else 1)

@@ -5,10 +5,10 @@ Three layers of defence for the ``repro.fastpath`` kernels:
 * **property tests** (hypothesis) — each kernel against its textbook
   oracle (``tests/crypto_oracles.py``) over adversarial inputs: negative
   / oversized exponents, non-subgroup bases, degenerate sizes;
-* **the cost model** — the ambient ``crypto.*`` counters of a fixed
-  workload are pinned to literal counts (measured-cost artifacts embed
-  these counters verbatim), and its values are checked against the
-  oracles;
+* **the cost model** — the ambient counters of a fixed workload (group
+  and field crypto, a Shamir dealing and a 3-party BGW evaluation) are
+  pinned to literal counts (measured-cost artifacts embed these counters
+  verbatim), and its values are checked against the oracles;
 * **integration equivalence** — scheduler bucketing vs the per-party
   scan it replaced, warm-state export/replay, and a parallel-engine
   smoke run.
@@ -29,10 +29,14 @@ from repro.crypto.group import (
     cached_safe_primes,
     seed_safe_primes,
 )
-from repro.crypto.polynomial import lagrange_coefficients_at_zero
-from repro.crypto.secret_sharing import ShamirSharing
+from repro.crypto.polynomial import Polynomial, lagrange_coefficients_at_zero
+from repro.crypto.secret_sharing import ShamirSharing, Share
 from repro.crypto.vss import FeldmanVSS, PedersenVSS
+from repro.errors import InvalidParameterError
+from repro.mpc.bgw import BGWProtocol, recombine
+from repro.mpc.circuit import Circuit
 from repro.net.message import Message
+from repro.net.network import run_protocol
 from repro.net.scheduler import bucket_by_recipient
 from repro.obs import Metrics
 from repro.obs import runtime as _obs_runtime
@@ -137,6 +141,94 @@ def test_lagrange_cache_hit_charges_identical_field_muls():
     assert warm.snapshot()["counters"]["crypto.field.mul"] == 2 * m * m - m
 
 
+# -- unboxed GF(p) loops: Shamir sharing and BGW recombination -----------------------
+
+#: BGW's small fields, where a zero top coefficient comes about once in p
+#: dealings, and a Mersenne prime where it almost never does.
+FIELD_MODULI = (7, 11, 13, 2**61 - 1)
+
+
+class _ScriptedRng:
+    """Feeds ``Polynomial.random`` the coefficient draws a test chose."""
+
+    def __init__(self, draws):
+        self._draws = list(draws)
+
+    def randrange(self, modulus):
+        return self._draws.pop(0) % modulus
+
+
+@st.composite
+def _dealings(draw):
+    """``(p, degree, parties, secret, coefficient draws)`` for one Shamir dealing."""
+    p = draw(st.sampled_from(FIELD_MODULI))
+    degree = draw(st.integers(min_value=0, max_value=4))
+    parties = draw(st.integers(min_value=degree + 1, max_value=min(p - 1, degree + 5)))
+    residue = st.integers(min_value=0, max_value=p - 1)
+    # Zero is drawn often: a zero top coefficient is what Polynomial strips.
+    maybe_zero = st.one_of(st.just(0), residue)
+    secret = draw(maybe_zero)
+    middle = draw(st.lists(residue, min_size=max(degree - 1, 0), max_size=max(degree - 1, 0)))
+    top = [draw(maybe_zero)] if degree else []
+    # Polynomial.random draws degree+1 coefficients and overwrites the first.
+    return p, degree, parties, secret, [0, *middle, *top]
+
+
+def _stripped(coefficients):
+    while coefficients and coefficients[-1] == 0:
+        coefficients = coefficients[:-1]
+    return coefficients
+
+
+def _counted(fn, *args):
+    with _obs_runtime.observed(metrics=Metrics()) as (_, metrics):
+        result = fn(*args)
+    return result, metrics.snapshot()
+
+
+@settings(max_examples=150, deadline=None)
+@given(dealing=_dealings(), data=st.data())
+def test_unboxed_field_loops_match_the_boxed_oracles(dealing, data):
+    """Shares, secrets, recombined BGW shares and ``crypto.field.mul`` totals
+    all equal the boxed loops', stripped top coefficients included."""
+    p, degree, parties, secret, draws = dealing
+    field = PrimeField(p)
+    sharing = ShamirSharing(field, degree, parties)
+    (polynomial, shares), fast = _counted(sharing.share, secret, _ScriptedRng(draws))
+    expected, boxed = _counted(oracles.shamir_shares, polynomial, parties)
+    assert [c.value for c in polynomial.coefficients] == _stripped([secret, *draws[1:]])
+    assert shares == expected
+    assert fast == boxed
+
+    order = data.draw(st.permutations(list(shares.values())))
+    recovered, fast = _counted(sharing.reconstruct, order)
+    reference, boxed = _counted(oracles.shamir_reconstruct, sharing, order)
+    assert recovered == reference == field.element(secret)
+    assert fast == boxed
+
+    residue = st.integers(min_value=0, max_value=p - 1)
+    received = {j: data.draw(residue) for j in range(1, parties + 1)}
+    lagrange = lagrange_coefficients_at_zero(field, range(1, parties + 1))
+    reduced, fast = _counted(recombine, field, [c.value for c in lagrange], received)
+    reference, boxed = _counted(
+        oracles.bgw_recombine,
+        field,
+        lagrange,
+        {j: field.element(value) for j, value in received.items()},
+    )
+    assert reduced == reference
+    assert fast == boxed
+
+
+def test_reconstruct_rejects_a_share_from_another_field():
+    sharing = ShamirSharing(PrimeField(11), 1, 3)
+    _, shares = sharing.share(5, random.Random(1))
+    foreign = Share(2, PrimeField(13).element(shares[2].value.value))
+    for reconstruct in (sharing.reconstruct, lambda s: oracles.shamir_reconstruct(sharing, s)):
+        with pytest.raises(InvalidParameterError):
+            reconstruct([shares[1], foreign])
+
+
 # -- exponent normalization (satellite b) --------------------------------------------
 
 
@@ -190,7 +282,26 @@ def _crypto_workload(bits):
     ).value
     values["commitment"] = commitment.value
     values["commitments"] = [c.value for c in dealing.commitments]
+    sharing = ShamirSharing(PrimeField(13), 2, 5)
+    _, shares = sharing.share(7, rng)
+    values["shamir"] = [share.value.value for share in shares.values()]
+    values["shamir_secret"] = sharing.reconstruct(list(shares.values())[1:]).value
+    execution = run_protocol(
+        BGWProtocol(_bgw_circuit(), n=3, t=1), BGW_INPUTS, seed=rng.randrange(2**32)
+    )
+    values["bgw"] = execution.outputs
     return values
+
+
+#: ``(x1 * x2) * x3 + x2`` over GF(11): two multiplication rounds.
+BGW_INPUTS = ({"v": 4}, {"v": 9}, {"v": 5})
+
+
+def _bgw_circuit():
+    circuit = Circuit(PrimeField(11))
+    x1, x2, x3 = (circuit.input(owner, "v") for owner in (1, 2, 3))
+    circuit.mark_output(circuit.add(circuit.mul(circuit.mul(x1, x2), x3), x2))
+    return circuit
 
 
 def _oracle_workload(bits):
@@ -236,17 +347,42 @@ def _oracle_workload(bits):
     values["pedersen_secret"] = secret(value_shares.values())
     values["commitment"] = commitment.value
     values["commitments"] = [c.value for c in commitments]
+    small = ShamirSharing(PrimeField(13), 2, 5)
+    shamir = oracles.shamir_shares(Polynomial.random(small.field, 2, rng, constant_term=7), 5)
+    values["shamir"] = [share.value.value for share in shamir.values()]
+    values["shamir_secret"] = oracles.shamir_reconstruct(small, list(shamir.values())[1:]).value
+    rng.randrange(2**32)  # the BGW run's seed
+    clear = _bgw_circuit().evaluate({(i, "v"): v["v"] for i, v in enumerate(BGW_INPUTS, 1)})
+    values["bgw"] = {i: tuple(v.value for v in clear) for i in (1, 2, 3)}
     return values
 
 
-#: The ``crypto.*`` counters of ``_crypto_workload(24)``: the logical cost
-#: model (textbook operation counts), independent of kernels and caches.
+#: The counters of ``_crypto_workload(24)``: the logical cost model
+#: (textbook operation counts), independent of kernels and caches.  Taken
+#: with the boxed field loops; the Shamir dealing's degree-2 coefficient
+#: is 0, so its stripped polynomial charges 2 multiplications per share.
 PINNED_WORKLOAD_COUNTERS = {
-    "crypto.field.mul": 81,
+    "crypto.field.mul": 256,
     "crypto.group.exp": 103,
     "crypto.group.mul": 75,
     "crypto.vss.deals": 2,
     "crypto.vss.shares_verified": 20,
+    "mpc.bgw.evaluations": 3,
+    "mpc.bgw.input_wires_shared": 3,
+    "mpc.bgw.mul_gates": 6,
+    "mpc.bgw.mul_rounds": 6,
+    "net.bytes.sent": 1440,
+    "net.bytes.sent.party.1": 480,
+    "net.bytes.sent.party.2": 480,
+    "net.bytes.sent.party.3": 480,
+    "net.messages.corrupted": 0,
+    "net.messages.delivered": 36,
+    "net.messages.honest": 36,
+    "net.messages.sent": 36,
+    "net.messages.sent.party.1": 12,
+    "net.messages.sent.party.2": 12,
+    "net.messages.sent.party.3": 12,
+    "net.rounds": 5,
 }
 
 

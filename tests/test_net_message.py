@@ -1,5 +1,8 @@
 """Tests for message types and inbox helpers."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.net.message import BROADCAST, Draft, Inbox, Message, broadcast, send
 
 
@@ -99,3 +102,35 @@ class TestInbox:
 
     def test_all_returns_tuple(self):
         assert isinstance(self.inbox.all(), tuple)
+
+    @given(
+        st.lists(
+            st.builds(
+                msg,
+                sender=st.integers(min_value=1, max_value=5),
+                recipient=st.sampled_from([BROADCAST, 1, 2]),
+                payload=st.integers(),
+                tag=st.sampled_from(["", "a", "b"]),
+            ),
+            max_size=25,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=6),
+                st.sampled_from([None, "", "a", "b", "c"]),
+            )
+        ),
+    )
+    def test_sender_lookups_equal_the_inbox_scan(self, messages, queries):
+        """The sender index answers exactly what scanning the inbox did,
+        in inbox order, however the lookups interleave."""
+        inbox = Inbox(messages)
+        for sender, tag in queries:
+            scan = [m for m in messages if m.sender == sender and (tag is None or m.tag == tag)]
+            assert inbox.from_sender(sender, tag) == scan
+            assert inbox.from_sender(sender) == [m for m in messages if m.sender == sender]
+            assert inbox.first_from(sender, tag) is (scan[0] if scan else None)
+
+    def test_from_sender_returns_a_fresh_list(self):
+        self.inbox.from_sender(1).clear()
+        assert [m.payload for m in self.inbox.from_sender(1)] == ["a", "c", "e"]

@@ -10,6 +10,8 @@ from repro.net.message import Draft, Message, broadcast, send
 from repro.net.network import run_protocol
 from repro.obs import Metrics, Tracer, payload_size, runtime as obs_runtime
 
+from . import net_oracles
+
 
 class EchoProtocol:
     """Round 1: everyone broadcasts its input.  Round 2: output what was heard."""
@@ -356,6 +358,50 @@ class TestInstrumentation:
         _, first = self._observed_run(EchoProtocol(3), [1, 0, 1], seed=7)
         _, second = self._observed_run(EchoProtocol(3), [1, 0, 1], seed=7)
         assert first.counters == second.counters
+
+    def test_round_accounting_matches_the_per_message_oracle(self):
+        """One mixed round: honest broadcasts and point-to-point messages plus
+        an adversary's broadcast and smuggled payload, which the canonical
+        encoding rejects and only ``repr`` can size."""
+
+        class MixedRound:
+            n = 4
+
+            def setup(self, rng):
+                return None
+
+            def program(self, ctx, value):
+                yield [
+                    broadcast(value, tag="val"),
+                    send(ctx.party_id % ctx.n + 1, ("ünïcode", 10**40, b"\x00"), tag="p2p"),
+                ]
+                return ctx.party_id
+
+        class Smuggler(Adversary):
+            def act(self, round_number, rushed):
+                if round_number != 1:
+                    return {3: []}
+                return {3: [broadcast(("bit", 1)), send(1, {"smuggled": 0.25, 7: None})]}
+
+        execution, metrics = self._observed_run(
+            MixedRound(), [1, "x", 2**70, {"k": (1, 2)}], adversary=Smuggler(corrupted=[3])
+        )
+        mixed, silent = execution.rounds
+        assert {m.is_broadcast for m in mixed.messages} == {True, False}
+        assert not silent.messages
+        assert payload_size({"smuggled": 0.25, 7: None}) == len(repr({"smuggled": 0.25, 7: None}))
+        oracle = Metrics()
+        for record in execution.rounds:
+            net_oracles.observe_round(
+                oracle,
+                record.messages,
+                [m for m in record.messages if m.sender not in execution.corrupted],
+                [m for m in record.messages if m.sender in execution.corrupted],
+            )
+        net = {k: v for k, v in metrics.counters.items() if k.startswith("net.")}
+        assert net == {**oracle.counters, "net.messages.delivered": net["net.messages.delivered"]}
+        for name in ("net.round.messages", "net.round.bytes"):
+            assert metrics.histograms[name].snapshot() == oracle.histograms[name].snapshot()
 
     def test_uninstrumented_run_pays_no_bookkeeping(self):
         execution = run_protocol(EchoProtocol(3), [10, 20, 30], seed=1)

@@ -8,6 +8,7 @@ against CGMA, and the A* XOR attack of Claim 6.6 against Π_G.
 
 import pytest
 
+from repro import fastpath
 from repro.adversaries import (
     Adversary,
     CommitEchoAdversary,
@@ -16,10 +17,15 @@ from repro.adversaries import (
     SequentialCopier,
     XorAttacker,
 )
+from repro.crypto.vss import FeldmanVSS
 from repro.errors import InvalidParameterError
+from repro.net.adversary import PassiveAdversary
 from repro.net.message import broadcast as bc
+from repro.obs import Metrics
+from repro.obs import runtime as obs_runtime
 from repro.protocols import (
     CGMABroadcast,
+    CGMAPedersen,
     ChorRabinBroadcast,
     GennaroBroadcast,
     IdealSimultaneousBroadcast,
@@ -260,6 +266,77 @@ class TestCGMAAttacks:
             (1, 1, 1, 1, 1), adversary=BadShareNoResolve(corrupted=[2]), seed=10
         )
         assert announced == (1, 0, 1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "protocol_cls,seed,crypto",
+        [
+            (
+                CGMABroadcast,
+                5,
+                {
+                    "crypto.field.mul": 525,
+                    "crypto.group.exp": 595,
+                    "crypto.group.mul": 435,
+                    "crypto.vss.deals": 5,
+                    "crypto.vss.shares_rejected": 10,
+                    "crypto.vss.shares_verified": 145,
+                },
+            ),
+            (
+                CGMAPedersen,
+                6,
+                {
+                    "crypto.field.mul": 600,
+                    "crypto.group.exp": 755,
+                    "crypto.group.mul": 595,
+                    "crypto.vss.deals": 5,
+                    "crypto.vss.shares_rejected": 10,
+                    "crypto.vss.shares_verified": 145,
+                },
+            ),
+        ],
+    )
+    def test_tampered_reveal_shares_are_discarded(self, protocol_cls, seed, crypto):
+        """Party 2 deals and complains honestly, then bumps its reveal shares
+        of dealers 1 and 3.  Every party rejects those two shares (the per-item
+        fallback after a batch reject) and announces the inputs.  The literals
+        were taken when every party re-verified every reveal; with the reveal
+        memo, parties 2..5 reuse party 1's verdicts and are charged the same."""
+
+        class RevealTamperer(PassiveAdversary):
+            def act(self, round_number, rushed):
+                outboxes = super().act(round_number, rushed)
+                for drafts in outboxes.values():
+                    for k, draft in enumerate(drafts):
+                        if draft.tag == "cgma:reveal":
+                            entries = tuple(
+                                (dealer, _bump(raw) if dealer in (1, 3) else raw)
+                                for dealer, raw in draft.payload
+                            )
+                            drafts[k] = bc(entries, tag=draft.tag)
+                return outboxes
+
+        def _bump(raw):
+            return (raw[0] + 1, raw[1]) if isinstance(raw, tuple) else raw + 1
+
+        protocol = protocol_cls(5, 2, security_bits=16)
+        fastpath.reset_stats()
+        with obs_runtime.observed(metrics=Metrics()) as (_, metrics):
+            execution = protocol.run(
+                (1, 0, 1, 1, 0), adversary=RevealTamperer(corrupted=[2]), seed=seed
+            )
+        assert execution.outputs == {i: (1, 0, 1, 1, 0) for i in (1, 3, 4, 5)}
+        counters = metrics.snapshot()["counters"]
+        assert {k: v for k, v in counters.items() if k.startswith("crypto.")} == crypto
+        # One batch check per dealer's reveal, not one per party and dealer.
+        assert fastpath.stats()["counters"]["fastpath.batch.calls"] == 5
+
+    def test_every_execution_builds_its_own_vss(self):
+        protocol = CGMABroadcast(5, 2, security_bits=16)
+        first, second = (protocol.run((1, 0, 1, 1, 0), seed=3) for _ in range(2))
+        assert first.outputs == second.outputs
+        assert isinstance(first.config["vss"], FeldmanVSS)
+        assert first.config["vss"] is not second.config["vss"]
 
 
 class TestPiGXorAttack:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import serialization
-from repro.serialization import encode, encode_many
+from repro.serialization import encode, encode_many, encoded_size
 
 
 simple_values = st.one_of(
@@ -21,6 +21,25 @@ nested_values = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.dictionaries(st.text(max_size=8), children, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+#: ``nested_values`` widened with every other shape ``encode`` accepts:
+#: tuples, int dict keys, non-ASCII text, ``bytearray`` and ints past 2**128.
+wide_values = st.recursive(
+    st.one_of(
+        simple_values,
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.sampled_from([10**40, -(10**40), 2**64, -(2**64), 255, 256, -256]),
+        st.text(alphabet=st.characters(min_codepoint=0x80), max_size=12),
+        st.binary(max_size=40).map(bytearray),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=5),
+        st.dictionaries(st.integers(), children, max_size=5),
     ),
     max_leaves=20,
 )
@@ -88,3 +107,28 @@ class TestEncodeInjectivity:
         assert encode([]) != encode({})
         assert encode([]) != encode("")
         assert encode("") != encode(b"")
+
+
+class TestEncodedSize:
+    """``encoded_size`` is byte accounting's exact, allocation-free ``len(encode(x))``."""
+
+    @given(st.one_of(nested_values, wide_values))
+    def test_equals_encoded_length(self, value):
+        assert encoded_size(value) == len(encode(value))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            object(),
+            1.5,
+            {object(): 1},
+            [1, (2, {"k": 0.5})],
+            {"k": {3: [None, set()]}},
+            ({1: "a", 2: object()},),
+        ],
+    )
+    def test_raises_type_error_where_encode_does(self, value):
+        with pytest.raises(TypeError):
+            encode(value)
+        with pytest.raises(TypeError):
+            encoded_size(value)
