@@ -38,11 +38,10 @@ from .analysis.report import (
     write_report,
 )
 from .analysis.rules import ALL_RULES, resolve_rules, rule_catalog
-from .errors import InvalidParameterError, ScenarioError
+from .errors import ScenarioError
 from .experiments.common import ExperimentConfig, standard_protocols
 from .experiments.diffjson import compare_dirs
 from .experiments.registry import REGISTRY, TITLES, run_many
-from .net.runtime import ENV_DELAY_MODEL, ENV_OMISSION, ENV_RUNTIME, RUNTIME_KINDS, resolve_runtime
 from .obs import Metrics, Tracer, export, flightrec, runtime
 from .parallel import default_jobs
 from .scenario.campaign import (
@@ -110,20 +109,7 @@ def run_experiments(args: argparse.Namespace) -> int:
             fault_plan = load_fault_plan(args.faults)
         except ScenarioError as exc:
             args.error(f"--faults {args.faults!r}: {exc}")
-    try:
-        runtime_config = resolve_runtime(args.runtime, args.delay_model, args.omission)
-    except InvalidParameterError as exc:
-        args.error(str(exc))
-    # Apply the choice through the environment: run_protocol consults it at
-    # every call site, and the parallel engine ships it to pool shards.
-    chosen = {
-        ENV_RUNTIME: args.runtime,
-        ENV_DELAY_MODEL: args.delay_model,
-        ENV_OMISSION: args.omission,
-    }
-    os.environ.update({name: value for name, value in chosen.items() if value is not None})
-
-    config = _config(args, 1.0, fault_plan=fault_plan, runtime=runtime_config.kind)
+    config = _config(args, 1.0, fault_plan=fault_plan)
     failures = 0
     for result in run_many(experiment_ids, config, jobs=args.jobs):
         print(result.render())
@@ -396,24 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PLAN.json",
         help="a repro.faults.FaultPlan file E-FAULT sweeps next to its standard plans"
         " (measured, never gated)",
-    )
-    experiments.add_argument(
-        "--runtime",
-        choices=RUNTIME_KINDS,
-        help="network runtime preset (default: lockstep, or $REPRO_RUNTIME); 'event'"
-        " accepts --delay-model and --omission",
-    )
-    experiments.add_argument(
-        "--delay-model",
-        metavar="SPEC",
-        help="event-runtime delay model, e.g. 'uniform:0.5,1.5' or 'exponential:1.0'"
-        " (default: rush:constant:1, which is lockstep)",
-    )
-    experiments.add_argument(
-        "--omission",
-        metavar="SPEC",
-        help="event-runtime omission policy, e.g. 'drop-all:1', 'drop-edges:1-2,3-4',"
-        " 'random:0.05'",
     )
 
     about = "Observability exports: traces, Prometheus metrics and timelines."

@@ -1,7 +1,7 @@
 """AST rule engine for the determinism & protocol-discipline analyzer.
 
 Every guarantee the reproduction makes — bit-identical serial vs
-``--jobs N`` artifacts, replayable fault/runtime schedules, the
+``--jobs N`` artifacts, replayable fault/timing schedules, the
 rushing-adversary degeneracy proofs — rests on coding invariants (seeded
 RNG streams only, no wall-clock in artifact paths, no set-iteration
 order leaking into transcripts) that CI replay jobs only catch
@@ -13,7 +13,7 @@ module and yields :class:`Finding` objects; ``python -m repro analyze``
 Escape hatches, in order of preference:
 
 * **module allowlists** — designed seams (the obs timing clock, the
-  runtime env-capture seam) are enumerated per rule in
+  deployment-settings environment reads) are enumerated per rule in
   :mod:`repro.analysis.rules` with a documented justification;
 * **inline suppressions** — ``# repro: allow[RULE001]`` on the flagged
   line silences that rule there (comma-separate to allow several);

@@ -38,18 +38,12 @@ TIMING_ALLOWLIST: Mapping[str, str] = {
     ),
 }
 
-#: ENV001 — the runtime/parallel capture seam.  ``REPRO_*`` reads are legal
-#: only where the parallel engine can capture and replay them into pool
-#: shards, keeping ``--jobs N`` replayable:
+#: ENV001 — deployment settings.  A ``REPRO_*`` read may steer only how a
+#: run is deployed, never a computed value, so ``--jobs N`` stays replayable:
 ENV_SEAM_ALLOWLIST: Mapping[str, str] = {
-    "repro.net.runtime": (
-        "capture_runtime_env/apply_runtime_env — the seam itself; shards"
-        " replay the coordinator's runtime choice"
-    ),
-    "repro.parallel.engine": "ships the captured environment with every shard task",
     "repro.parallel.warmup": (
-        "worker warm-start replays the captured environment; the shm-table"
-        " gate only moves setup cost, never a computed value"
+        "the shm-table gate decides how workers get their warm tables; it"
+        " only moves setup cost, never a computed value"
     ),
 }
 
@@ -463,18 +457,19 @@ class RunHonorsTimeout(Rule):
 
 
 class EnvOutsideSeam(Rule):
-    """ENV001 — ``REPRO_*`` environment reads outside the capture seam.
+    """ENV001 — ``REPRO_*`` environment reads outside the deployment allowlist.
 
-    Pool shards replay the coordinator's environment via
-    ``repro.net.runtime.capture_runtime_env``; a ``REPRO_*`` read anywhere
-    else is invisible to that seam, so a worker under ``spawn`` can
-    resolve a different configuration than the run it is replaying.
+    A ``REPRO_*`` variable may steer only deployment settings (how workers
+    warm up, where debug dumps land), never a computed value: everything
+    an artifact depends on is an explicit argument, so a worker under
+    ``spawn``, with whatever environment the OS hands it, computes what the
+    coordinator would.
     """
 
     id = "ENV001"
     severity = SEVERITY_ERROR
-    title = "REPRO_* environment read outside the capture seam"
-    rationale = "shards must be able to replay the coordinator's env"
+    title = "REPRO_* environment read outside the deployment allowlist"
+    rationale = "a computed value must not depend on a process's environment"
 
     def _env_key(self, ctx: FileContext, call: ast.Call) -> Optional[ast.expr]:
         name = _call_name(ctx, call)
@@ -500,8 +495,8 @@ class EnvOutsideSeam(Rule):
                 if key.value.startswith("REPRO_"):
                     yield self.finding(
                         ctx, where,
-                        f"{key.value} read outside the runtime/parallel"
-                        " capture seam — pool shards cannot replay it (see"
+                        f"{key.value} read outside the deployment allowlist"
+                        " — it may steer only deployment settings (see"
                         " repro.analysis.rules.ENV_SEAM_ALLOWLIST)",
                     )
 

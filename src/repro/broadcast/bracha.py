@@ -10,8 +10,8 @@ t < n with signatures; this is the information-theoretic counterpart).
 Unlike the round-counting members of the zoo, Bracha is *asynchronous*:
 parties react to whatever lands in their inbox and loop until the
 delivery quorum is met, with no built-in round bound.  That makes it the
-natural conformance workload for the event runtime
-(``runtime="event"``), where delay models reorder message arrivals —
+natural conformance workload for non-default timing
+(``delay_model="uniform:0.5,1.5"``), where delay models reorder arrivals —
 the protocol must deliver the same value under any schedule.  A run in
 which delivery is impossible (e.g. the sender's traffic is omitted)
 terminates through ``timeout_rounds``, finalizing undelivered parties

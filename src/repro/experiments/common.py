@@ -47,11 +47,6 @@ class ExperimentConfig:
     fault_plan: Any = None
     """An extra :class:`repro.faults.FaultPlan` (from ``--faults PLAN.json``)
     swept by E-FAULT alongside the standard library — measured, never gated."""
-    runtime: str = "lockstep"
-    """Which :mod:`repro.net.runtime` preset times protocol executions
-    (``--runtime``).  The CLI applies the choice through the ``REPRO_RUNTIME``
-    environment so pool shards resolve it too; it is recorded here so a
-    config states what was simulated."""
 
     def rng(self, salt: int = 0) -> random.Random:
         return random.Random(self.seed * 1_000_003 + salt)

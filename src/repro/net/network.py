@@ -31,10 +31,8 @@ def run_protocol(
     fault_seed: Optional[int] = None,
     timeout_rounds: Optional[int] = None,
     timeout_output: Any = None,
-    runtime: Any = None,
     delay_model: Any = None,
     omission: Any = None,
-    max_events: Optional[int] = None,
 ) -> Execution:
     """Run ``protocol`` once and return the full :class:`Execution`.
 
@@ -67,25 +65,17 @@ def run_protocol(
             of aborting the run with :class:`NetworkError`.
         timeout_output: the degraded output (a value, or a callable of the
             party id); protocols pass the paper's default bit vector.
-        runtime: the :mod:`repro.net.runtime` preset — ``"lockstep"``
-            (the paper's synchronous rushing rounds, the default),
-            ``"event"`` (any delay model and omission policy), or a
-            resolved :class:`repro.net.runtime.RuntimeConfig`.  ``None``
-            consults the ``REPRO_RUNTIME`` environment variable, which is
-            how the experiments CLI's ``--runtime`` reaches pool shards.
-        delay_model: event-preset message timing — a
+        delay_model: message timing — a
             :class:`repro.net.runtime.DelayModel` or a spec string such as
             ``"uniform:0.5,1.5"``; defaults to ``RushDelay(ConstantDelay(1))``,
-            the lockstep timing.
-        omission: event-preset loss policy (an
-            :class:`repro.net.runtime.OmissionPolicy` or spec string such
-            as ``"drop-all:1"``).
-        max_events: event-preset delivery budget (default 1,000,000, for
-            every preset) — the event-count analogue of ``max_rounds``;
-            exceeding it raises :class:`NetworkError` after a
-            flight-recorder dump.
+            the paper's synchronous rushing round.
+        omission: loss policy (an :class:`repro.net.runtime.OmissionPolicy`
+            or spec string such as ``"drop-all:1"``); defaults to none.
+            With neither timing knob the run is tagged ``"lockstep"``,
+            otherwise ``"event"``.  Every run is bounded by
+            :data:`repro.net.scheduler.DEFAULT_MAX_EVENTS` deliveries.
     """
-    runtime_config = resolve_runtime(runtime, delay_model, omission, max_events)
+    runtime_config = resolve_runtime(delay_model, omission)
     effective_seed: Optional[int] = seed
     defaulted = False
     if rng is None:

@@ -1,4 +1,4 @@
-"""Network timing for the one execution engine: delay models, omission, presets.
+"""Network timing for the one execution engine: delay models and omission.
 
 Every protocol execution is driven by :class:`repro.net.scheduler.Scheduler`,
 a deterministic discrete-event loop.  What varies between runs is the
@@ -8,40 +8,23 @@ optional :class:`OmissionPolicy` loses deliveries, and an
 time.  No wall time is ever read, so a run is an exact function of
 ``(seed, delay model, omission policy)`` and replays are bit-identical.
 
-Two runtime *presets* name points of that space:
-
-* ``"lockstep"`` (the default) is the paper's Section 3.1 model:
-  ``RushDelay(ConstantDelay(1))`` and no omission.  Honest→corrupted edges
-  deliver within the sending round (the rushing adversary), every other
-  edge one round later.  Executions are tagged ``"lockstep"``.
-* ``"event"`` takes any delay model (default the same rushing round) and
-  omission policy.  Executions are tagged ``"event"``.
-
-Selection: :func:`run_protocol` takes ``runtime=``/``delay_model=``/
-``omission=`` keywords; with no explicit choice the ``REPRO_RUNTIME``,
-``REPRO_DELAY_MODEL`` and ``REPRO_OMISSION`` environment variables are
-consulted (this is how the experiments CLI's ``--runtime`` reaches pool
-shards), defaulting to lockstep.
+Timing is a per-run value, :class:`RuntimeConfig`, passed explicitly as
+:func:`repro.net.network.run_protocol`'s ``delay_model=``/``omission=``.
+Neither given is the paper's Section 3.1 model, ``RushDelay(ConstantDelay(1))``
+and no omission: honest→corrupted edges deliver within the sending round
+(the rushing adversary), every other edge one round later.  Such runs are
+tagged ``"lockstep"``; a run with either knob set is tagged ``"event"``.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import random
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, DefaultDict, Dict, List, Optional, Tuple
 
 from ..errors import InvalidParameterError
-
-#: Environment variables consulted when no explicit runtime is passed.
-ENV_RUNTIME = "REPRO_RUNTIME"
-ENV_DELAY_MODEL = "REPRO_DELAY_MODEL"
-ENV_OMISSION = "REPRO_OMISSION"
-
-#: The runtime presets (see the module docstring).
-RUNTIME_KINDS = ("lockstep", "event")
 
 #: Smallest latency a non-rushed edge may have: delivery strictly after
 #: the sending batch, so a pathological model cannot stall the clock.
@@ -157,7 +140,7 @@ class RushDelay(DelayModel):
     every other edge — honest→honest, corrupted→anyone — pays the base
     model's latency, i.e. the adversary's own edges deliver last.  With a
     ``ConstantDelay(1)`` base this is the paper's Section 3.1 model, the
-    ``"lockstep"`` preset.
+    default timing.
     """
 
     name = "rush"
@@ -178,7 +161,7 @@ class RushDelay(DelayModel):
         return {"model": self.name, "base": self.base.spec()}
 
 
-#: Delay-model constructors by name, for CLI / environment specs.
+#: Delay-model constructors by name, for spec strings.
 DELAY_MODELS = {
     "constant": ConstantDelay,
     "uniform": UniformDelay,
@@ -392,92 +375,26 @@ class EventClock:
         return defaultdict(list)
 
 
-# -- runtime selection --------------------------------------------------------------
+# -- the run's timing ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """One fully resolved runtime choice, shippable to pool workers."""
+    """One run's timing: a delay model and an omission policy, ``None`` for the paper's."""
 
-    kind: str = "lockstep"
     delay_model: Optional[DelayModel] = None
     omission: Optional[OmissionPolicy] = None
-    max_events: Optional[int] = None
+
+    @property
+    def kind(self) -> str:
+        """``"lockstep"`` at the paper's timing (neither knob set), else ``"event"``."""
+        return "lockstep" if self.delay_model is None and self.omission is None else "event"
 
     def resolved_delay_model(self) -> DelayModel:
-        """The run's timing; unset (always, for lockstep) is the paper's rushing round."""
+        """The run's delay model; unset is the paper's rushing round."""
         return self.delay_model if self.delay_model is not None else RushDelay()
 
-    def spec(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"runtime": self.kind}
-        if self.delay_model is not None:
-            out["delay_model"] = self.delay_model.spec()
-        if self.omission is not None:
-            out["omission"] = self.omission.spec()
-        if self.max_events is not None:
-            out["max_events"] = self.max_events
-        return out
 
-
-def capture_runtime_env() -> Dict[str, str]:
-    """Snapshot the runtime-selection environment variables.
-
-    The parallel engine captures this at ``map()`` submission and ships
-    it with every shard task, so workers resolve the *coordinator's*
-    runtime even under the ``spawn`` start method (where a worker's
-    environment is whatever the OS hands a fresh interpreter).
-    """
-    return {
-        key: os.environ[key]
-        for key in (ENV_RUNTIME, ENV_DELAY_MODEL, ENV_OMISSION)
-        if key in os.environ
-    }
-
-
-def apply_runtime_env(env: Dict[str, str]) -> None:
-    """Install a captured runtime environment in a worker process."""
-    for key in (ENV_RUNTIME, ENV_DELAY_MODEL, ENV_OMISSION):
-        if key in env:
-            os.environ[key] = env[key]
-        else:
-            os.environ.pop(key, None)
-
-
-def resolve_runtime(
-    runtime: Any = None,
-    delay_model: Any = None,
-    omission: Any = None,
-    max_events: Optional[int] = None,
-) -> RuntimeConfig:
-    """Normalize the caller's runtime choice into a :class:`RuntimeConfig`.
-
-    ``runtime`` may be a :class:`RuntimeConfig` (returned as-is), a preset
-    name, or ``None`` — in which case ``REPRO_RUNTIME`` (and, for the
-    event preset, ``REPRO_DELAY_MODEL`` / ``REPRO_OMISSION``) decide,
-    defaulting to lockstep.  Explicit ``delay_model`` / ``omission`` /
-    ``max_events`` arguments require the event preset: lockstep's timing
-    is fixed by the paper's model, and silently ignoring a requested delay
-    distribution would misreport what was simulated.
-    """
-    if isinstance(runtime, RuntimeConfig):
-        return runtime
-    from_env = runtime is None
-    kind = (runtime if runtime is not None else os.environ.get(ENV_RUNTIME, "lockstep"))
-    kind = str(kind).strip().lower() or "lockstep"
-    if kind not in RUNTIME_KINDS:
-        raise InvalidParameterError(
-            f"unknown runtime {kind!r}; known: {sorted(RUNTIME_KINDS)}"
-        )
-    model = delay_model_from_spec(delay_model)
-    policy = omission_from_spec(omission)
-    if kind == "event" and from_env:
-        if model is None:
-            model = delay_model_from_spec(os.environ.get(ENV_DELAY_MODEL))
-        if policy is None:
-            policy = omission_from_spec(os.environ.get(ENV_OMISSION))
-    if kind != "event" and (model is not None or policy is not None or max_events is not None):
-        raise InvalidParameterError(
-            "delay_model/omission/max_events require runtime='event'; "
-            "the lockstep runtime's timing is fixed by the paper's model"
-        )
-    return RuntimeConfig(kind=kind, delay_model=model, omission=policy, max_events=max_events)
+def resolve_runtime(delay_model: Any = None, omission: Any = None) -> RuntimeConfig:
+    """Parse a run's timing (objects, spec strings or ``None``) into a :class:`RuntimeConfig`."""
+    return RuntimeConfig(delay_model_from_spec(delay_model), omission_from_spec(omission))

@@ -1,7 +1,7 @@
 """The execution engine: one deterministic discrete-event loop.
 
 Every run advances a seeded :class:`~repro.net.runtime.EventClock`, the
-delivery calendar.  Each *batch* (a round, under the lockstep preset):
+delivery calendar.  Each *batch* (a round, at the default timing):
 
 1. pops the deliveries of the next occupied instant (a silent tick when
    nothing is in flight), and every unfinished honest party is resumed
@@ -19,8 +19,8 @@ delivery calendar.  Each *batch* (a round, under the lockstep preset):
 4. every other delivery is scheduled on the calendar at ``now + delay``,
    unless the omission policy loses it.
 
-With the ``"lockstep"`` preset, ``RushDelay(ConstantDelay(1))`` and no
-omission, this is Section 3.1 of the paper: synchronous rounds, a rushing
+At the default timing, ``RushDelay(ConstantDelay(1))`` and no omission,
+this is Section 3.1 of the paper: synchronous rounds, a rushing
 adversary, one round of latency on every other edge.
 
 Determinism: no wall time is ever read, delay and omission draws come
@@ -33,8 +33,8 @@ Progress guards: the run ends when every honest party's program has
 returned.  ``timeout_rounds`` bounds the batch count gracefully — parties
 still running past the deadline are finalized with ``timeout_output``
 (protocols pass the paper's default bit vector) and the execution is
-marked ``timed_out``.  ``max_rounds`` (batches) and ``max_events``
-(deliveries) abort with :class:`NetworkError`.
+marked ``timed_out``.  ``max_rounds`` (batches) and
+:data:`DEFAULT_MAX_EVENTS` (deliveries) abort with :class:`NetworkError`.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def bucket_by_recipient(
 class Scheduler:
     """Drives one protocol execution to completion.
 
-    ``runtime`` is the resolved :class:`~repro.net.runtime.RuntimeConfig`
-    (default: the lockstep preset).  The RNG-derivation order in
+    ``runtime`` is the run's :class:`~repro.net.runtime.RuntimeConfig`
+    (default: the paper's timing).  The RNG-derivation order in
     ``__init__`` is part of the determinism contract and must not change.
     """
 
@@ -141,9 +141,6 @@ class Scheduler:
         self.runtime = runtime if runtime is not None else RuntimeConfig()
         self.delay_model = self.runtime.resolved_delay_model()
         self.omission = self.runtime.omission
-        self.max_events = (
-            self.runtime.max_events if self.runtime.max_events is not None else DEFAULT_MAX_EVENTS
-        )
 
         self.honest_ids = [i for i in range(1, n + 1) if i not in adversary.corrupted]
         self._honest: Dict[int, PartyState] = {}
@@ -174,7 +171,7 @@ class Scheduler:
             session=session,
         )
         # The clock seed comes last, so it perturbs no draw above.  The
-        # lockstep preset never draws from an edge stream and takes no
+        # paper's timing never draws from an edge stream and takes no
         # seed, so a lockstep run reads the caller's RNG only for the
         # parties and the adversary.
         self._lockstep = self.runtime.kind == "lockstep"
@@ -244,10 +241,10 @@ class Scheduler:
             if batch > 1:
                 inboxes = clock.advance()
                 events += sum(map(len, inboxes.values()))
-                if events > self.max_events:
+                if events > DEFAULT_MAX_EVENTS:
                     self._dump_event_budget(batch, events)
                     raise NetworkError(
-                        f"runtime delivered more than {self.max_events}"
+                        f"runtime delivered more than {DEFAULT_MAX_EVENTS}"
                         " messages without terminating"
                     )
             honest_traffic: List[Message] = []
@@ -393,7 +390,7 @@ class Scheduler:
         """Fold one batch into metrics/trace/flight records.
 
         ``extra`` fields travel with the trace and flight-recorder summary
-        — outside the lockstep preset, the batch time and delivery count,
+        — for event-tagged runs, the batch time and delivery count,
         without changing the record kind tooling keys on.
         """
         metrics = _obs.metrics

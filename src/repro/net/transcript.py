@@ -50,10 +50,10 @@ class Execution:
     protocol's default output instead of raising :class:`NetworkError`.
     """
     runtime: str = "lockstep"
-    """Which :mod:`repro.net.runtime` preset drove the run.
+    """The run's timing class (:attr:`repro.net.runtime.RuntimeConfig.kind`).
 
-    ``"lockstep"`` for the paper's synchronous rounds; ``"event"`` for a
-    chosen delay model and omission policy, in which case each
+    ``"lockstep"`` for the paper's synchronous rounds; ``"event"`` when a
+    delay model or omission policy was given, in which case each
     :class:`RoundRecord` is one *event batch* (all messages sent at one
     clock instant) rather than a synchronous round.
     """

@@ -86,9 +86,8 @@ class FlightRecorder:
             raise ValueError(f"flight recorder capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.run_id = run_id if run_id is not None else f"pid{os.getpid()}"
-        # Dump-path override only: the value steers where debugging snapshots
-        # land, never what a shard computes, so it stays outside the replay
-        # capture seam on purpose.
+        # Dump-path override only: a deployment setting that steers where
+        # debugging snapshots land, never what a shard computes.
         self.dump_dir = dump_dir or os.environ.get(  # repro: allow[ENV001]
             "REPRO_FLIGHTREC_DIR", DEFAULT_DUMP_DIR
         )

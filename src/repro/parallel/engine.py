@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import fastpath
-from ..net.runtime import apply_runtime_env, capture_runtime_env
 from ..obs import Metrics, Tracer, flightrec as _flightrec
 from ..obs import runtime as _obs_runtime
 from . import shm, warmup
@@ -60,14 +59,9 @@ class ShardOutcome:
     flight_records: List[Dict[str, Any]] = field(default_factory=list)
 
 
-def _run_shard(
-    task: Tuple[Callable[..., Any], Tuple[Any, ...], bool, bool, Dict[str, str]]
-) -> ShardOutcome:
+def _run_shard(task: Tuple[Callable[..., Any], Tuple[Any, ...], bool, bool]) -> ShardOutcome:
     """Worker entry point: run one task under a fresh observation scope."""
-    fn, args, trace, flight, shard_env = task
-    # Shards must resolve the same network runtime the coordinator would:
-    # explicit under fork, essential under spawn (fresh environment).
-    apply_runtime_env(shard_env)
+    fn, args, trace, flight = task
     tracer = Tracer() if trace else None
     flight_records: List[Dict[str, Any]] = []
     with _obs_runtime.observed(tracer=tracer, metrics=Metrics()) as (_, metrics):
@@ -165,10 +159,7 @@ class ExperimentEngine:
 
         trace = _obs_runtime.tracer.enabled
         flight = _obs_runtime.flightrec is not None
-        shard_env = capture_runtime_env()
-        shard_tasks = [
-            (fn, tuple(args), trace, flight, shard_env) for args in tasks
-        ]
+        shard_tasks = [(fn, tuple(args), trace, flight) for args in tasks]
         outcomes = list(self._ensure_pool().map(_run_shard, shard_tasks))
 
         ambient = _obs_runtime.metrics

@@ -74,7 +74,6 @@ class ParallelBroadcastProtocol:
         fault_plan: Any = None,
         fault_seed: Optional[int] = None,
         timeout_rounds: Optional[int] = None,
-        runtime: Any = None,
         delay_model: Any = None,
         omission: Any = None,
     ) -> Execution:
@@ -93,7 +92,6 @@ class ParallelBroadcastProtocol:
             fault_seed=fault_seed,
             timeout_rounds=timeout_rounds,
             timeout_output=timeout_output,
-            runtime=runtime,
             delay_model=delay_model,
             omission=omission,
         )
@@ -107,7 +105,6 @@ class ParallelBroadcastProtocol:
         fault_plan: Any = None,
         fault_seed: Optional[int] = None,
         timeout_rounds: Optional[int] = None,
-        runtime: Any = None,
         delay_model: Any = None,
         omission: Any = None,
     ) -> Tuple[int, ...]:
@@ -120,7 +117,6 @@ class ParallelBroadcastProtocol:
             fault_plan=fault_plan,
             fault_seed=fault_seed,
             timeout_rounds=timeout_rounds,
-            runtime=runtime,
             delay_model=delay_model,
             omission=omission,
         )

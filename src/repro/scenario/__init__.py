@@ -2,7 +2,7 @@
 
 The package closes the loop between the repo's composable seams — the
 protocol zoo, the FaultPlan DSL, the adversary strategies, the
-lockstep/event network runtimes, and the warm-started parallel engine —
+per-run network timing, and the warm-started parallel engine —
 by giving one *declarative* name to a full execution cell:
 
 * :class:`Scenario` (:mod:`repro.scenario.spec`) — the validated,

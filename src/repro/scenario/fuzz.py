@@ -12,7 +12,7 @@ index)`` — the property every campaign guarantee rests on:
   scenario in every run of the same campaign.
 
 The sampler sweeps the cross-product the motivation calls out:
-distribution classes × adversary strategies × fault plans × runtimes ×
+distribution classes × adversary strategies × fault plans ×
 delay/omission models × ``(n, t)`` corners, with the weights biased
 toward the boundaries where the paper's claims live (corruption
 fractions at the resilience bound, non-degenerate network timing).
@@ -52,7 +52,7 @@ PROTOCOL_POOL: Tuple[Tuple[str, int], ...] = (
 #: Fault probabilities the rule sampler draws from — boundary-heavy.
 _PROBABILITIES = (0.05, 0.1, 0.25, 1.0)
 
-#: Event-runtime delay model specs (empty = the degenerate rush default).
+#: Delay model specs of the timed half (empty = the paper's rush default).
 _DELAY_MODELS = (
     "",
     "constant:1",
@@ -166,10 +166,10 @@ def _sample_faults(rng: random.Random, n: int) -> Dict[str, object]:
     return plan
 
 
-def _sample_network(rng: random.Random, n: int) -> Tuple[str, str, str]:
-    """``(runtime, delay_model, omission)`` — lockstep half the time."""
+def _sample_network(rng: random.Random, n: int) -> Tuple[str, str]:
+    """``(delay_model, omission)`` — the paper's timing half the time."""
     if rng.randrange(2):
-        return "lockstep", "", ""
+        return "", ""
     delay = rng.choice(_DELAY_MODELS)
     omission = ""
     pick = rng.randrange(4)
@@ -177,7 +177,7 @@ def _sample_network(rng: random.Random, n: int) -> Tuple[str, str, str]:
         omission = f"random:{rng.choice((0.02, 0.05, 0.1))}"
     elif pick == 1:
         omission = f"drop-all:{rng.randrange(1, n + 1)}"
-    return "event", delay, omission
+    return delay, omission
 
 
 def generate_scenario(campaign_seed: int, index: int) -> Scenario:
@@ -201,8 +201,7 @@ def generate_scenario(campaign_seed: int, index: int) -> Scenario:
     faults = _sample_faults(rng, n)
     if faults:
         data["faults"] = faults
-    runtime, delay_model, omission = _sample_network(rng, n)
-    data["runtime"] = runtime
+    delay_model, omission = _sample_network(rng, n)
     if delay_model:
         data["delay_model"] = delay_model
     if omission:

@@ -57,14 +57,14 @@ GUARANTEE_OF = {
 #: this, value equality is too likely by chance (2^-trials) to report.
 MIN_COPY_TRIALS = 3
 
-#: Delay-model specs under which the event runtime reproduces lockstep
-#: exactly (RushDelay(ConstantDelay(1)) is the engine's documented default).
+#: Delay-model specs that reproduce the paper's round exactly
+#: (RushDelay(ConstantDelay(1)) is the engine's documented default).
 DEGENERATE_DELAYS = ("", "constant:1", "rush:constant:1")
 
 
 def net_class(scenario: Scenario) -> str:
     """The scenario's network class: one axis of its campaign cell."""
-    if scenario.runtime == "lockstep":
+    if not scenario.delay_model and not scenario.omission:
         return "lockstep"
     if scenario.omission:
         return "event-lossy"
@@ -108,9 +108,7 @@ def expected_guarantees(scenario: Scenario) -> FrozenSet[str]:
     wire_immune = spec.mailbox
     if not wire_immune and (plan.rules or plan.crashes):
         return frozenset()
-    if scenario.runtime == "event" and (
-        scenario.omission or scenario.delay_model not in DEGENERATE_DELAYS
-    ):
+    if scenario.omission or scenario.delay_model not in DEGENERATE_DELAYS:
         return frozenset()
     corrupted = set(scenario.adversary_spec().corrupted)
     expected = {"agreement"}

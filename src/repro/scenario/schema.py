@@ -17,7 +17,7 @@ Two surfaces:
   ``"faults"`` key);
 * :func:`validate_scenario_dict` — the full :class:`repro.scenario.Scenario`
   shape, including the cross-field constraints (protocol resilience
-  bounds, adversary applicability, event-runtime-only knobs).
+  bounds, adversary applicability, network-timing specs).
 
 Every validator collects *all* problems and raises one
 :class:`repro.errors.ScenarioError` whose message lists them, one per
@@ -48,7 +48,7 @@ CRASH_KEYS = ("party", "at_round", "recover_at")
 #: Keys a scenario mapping may carry (the DSL surface).
 SCENARIO_KEYS = (
     "name", "protocol", "n", "t", "security_bits", "sender", "seed",
-    "trials", "timeout_rounds", "distribution", "adversary", "runtime",
+    "trials", "timeout_rounds", "distribution", "adversary",
     "delay_model", "omission", "faults",
 )
 
@@ -252,7 +252,7 @@ def scenario_errors(data: Any) -> List[str]:
 
     Field checks first, then the cross-field constraints that need the
     registry (protocol resilience bounds, adversary applicability,
-    event-only network knobs, fault-plan party ranges).
+    fault-plan party ranges).
     """
     # Imported here: the registry imports protocol/runtime modules, which
     # must not load just to import this module's fault-plan validators.
@@ -338,20 +338,10 @@ def scenario_errors(data: Any) -> List[str]:
             f" known: {sorted(ADVERSARIES)}"
         )
 
-    runtime = data.get("runtime", "lockstep")
-    if runtime not in ("lockstep", "event"):
-        errors.append(
-            f"scenario.runtime: expected 'lockstep' or 'event', got {runtime!r}"
-        )
     for key, parser in (("delay_model", delay_model_from_spec), ("omission", omission_from_spec)):
         value = data.get(key, "")
         if not value:
             continue
-        if runtime != "event":
-            errors.append(
-                f"scenario.{key}: only meaningful with runtime='event'"
-                " (the lockstep engine's timing is fixed by the paper's model)"
-            )
         try:
             parser(value)
         except InvalidParameterError as exc:

@@ -61,7 +61,7 @@ def _candidates(scenario: Scenario) -> Iterator[Optional[Scenario]]:
 
     # Whole-dimension deletions first: each one discharges a lot at once.
     yield _try_build(data, {"faults": None})
-    yield _try_build(data, {"runtime": None, "delay_model": None, "omission": None})
+    yield _try_build(data, {"delay_model": None, "omission": None})
     yield _try_build(data, {"omission": None})
     yield _try_build(data, {"delay_model": None})
     yield _try_build(data, {"adversary": None})

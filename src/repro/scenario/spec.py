@@ -2,8 +2,8 @@
 
 A scenario names *everything* one seeded execution cell needs: a
 protocol-zoo member, parameters ``(n, t, k)``, an input-distribution
-class, an adversary strategy, a :class:`repro.faults.FaultPlan`, a
-network runtime with optional delay/omission models, a trial count, and a
+class, an adversary strategy, a :class:`repro.faults.FaultPlan`, the
+network timing (optional delay/omission models), a trial count, and a
 seed.  It is a superset of ``examples/faultplan.json`` (the plan rides
 along under the ``"faults"`` key) and a pure description: cheap to hash,
 serialize, ship to pool workers, and shrink.
@@ -67,7 +67,6 @@ class Scenario:
     timeout_rounds: Optional[int] = None
     distribution: str = "uniform"
     adversary: str = "none"
-    runtime: str = "lockstep"
     delay_model: str = ""
     omission: str = ""
     faults: FaultPlan = field(default_factory=FaultPlan)
@@ -186,8 +185,8 @@ class Scenario:
         )
 
     def run_kwargs(self) -> Dict[str, Any]:
-        """The runtime-selection keywords for :func:`repro.net.network.run_protocol`."""
-        kwargs: Dict[str, Any] = {"runtime": self.runtime}
+        """The timing keywords for :func:`repro.net.network.run_protocol`."""
+        kwargs: Dict[str, Any] = {}
         if self.delay_model:
             kwargs["delay_model"] = self.delay_model
         if self.omission:
@@ -202,6 +201,6 @@ class Scenario:
     def __repr__(self) -> str:
         return (
             f"Scenario({self.protocol!r}, n={self.n}, t={self.t},"
-            f" adversary={self.adversary!r}, runtime={self.runtime!r},"
+            f" adversary={self.adversary!r},"
             f" id={self.scenario_id()})"
         )

@@ -6,8 +6,8 @@ member, so its conformance matrix covers both fault mechanisms:
 * **crash faults** through the lockstep :class:`FaultInjector` plan
   library (send omission from a given round), exactly like the other
   single-sender broadcast protocols;
-* **event-runtime omission** through the runtime's
-  :class:`~repro.net.runtime.OmissionPolicy` seam, with delays drawn
+* **omission** through the run's
+  :class:`~repro.net.runtime.OmissionPolicy` timing, with delays drawn
   from non-degenerate models so arrivals are genuinely reordered.
 
 The RBC contract differs from the synchronous broadcasts in one place:
@@ -46,7 +46,6 @@ def run_bracha(
     seed=11,
     adversary=None,
     sender=SENDER,
-    runtime=None,
     delay_model=None,
     omission=None,
 ):
@@ -59,7 +58,6 @@ def run_bracha(
         seed=seed,
         fault_plan=plan,
         timeout_rounds=TIMEOUT,
-        runtime=runtime,
         delay_model=delay_model,
         omission=omission,
     )
@@ -129,7 +127,7 @@ class TestCrashFaults:
 class TestEventRuntimeOmission:
     def test_delivers_under_reordered_arrivals(self, conformance_log):
         for spec in ("uniform:0.5,1.5", "exponential:1.0"):
-            execution = run_bracha(runtime="event", delay_model=spec, seed=5)
+            execution = run_bracha(delay_model=spec, seed=5)
             assert not execution.timed_out
             check_agreement(execution, expect=VALUE)
         conformance_log(
@@ -137,9 +135,7 @@ class TestEventRuntimeOmission:
         )
 
     def test_sender_omission_delivers_nowhere(self, conformance_log):
-        execution = run_bracha(
-            runtime="event", omission="drop-all:1", seed=5
-        )
+        execution = run_bracha(omission="drop-all:1", seed=5)
         assert execution.timed_out
         assert all(execution.outputs[i] is None for i in range(1, N + 1))
         conformance_log(
@@ -149,9 +145,7 @@ class TestEventRuntimeOmission:
     def test_non_sender_omission_is_tolerated(self, conformance_log):
         # Party 3's sends are all lost; n - 1 = 3 parties still reach the
         # echo quorum (n+t)//2+1 = 3 and the delivery quorum 2t+1 = 3.
-        execution = run_bracha(
-            runtime="event", omission="drop-all:3", seed=5
-        )
+        execution = run_bracha(omission="drop-all:3", seed=5)
         assert not execution.timed_out
         check_agreement(execution, excluded=(3,), expect=VALUE)
         conformance_log(
@@ -160,7 +154,6 @@ class TestEventRuntimeOmission:
 
     def test_lossy_edges_with_jitter_still_agree(self, conformance_log):
         execution = run_bracha(
-            runtime="event",
             delay_model="uniform:0.5,1.5",
             omission="drop-edges:2-3,3-2",
             seed=9,
@@ -186,10 +179,10 @@ class TestByzantineSender:
             ]
             return None
 
-        for runtime in (None, "event"):
+        for delay_model in (None, "uniform:0.5,1.5"):
             execution = run_bracha(
                 adversary=ProgramAdversary({SENDER: equivocate}),
-                runtime=runtime,
+                delay_model=delay_model,
                 seed=13,
             )
             honest_outputs = [execution.outputs[i] for i in (2, 3, 4)]

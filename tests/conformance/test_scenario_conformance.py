@@ -1,7 +1,7 @@
-"""Conformance via the scenario DSL: combined fault-plan + event-runtime cells.
+"""Conformance via the scenario DSL: combined fault-plan + network-timing cells.
 
 The existing conformance suites exercise the FaultPlan library and the
-event runtime's delay/omission seams separately; this one drives the
+delay/omission timing separately; this one drives the
 *combination* through :class:`repro.scenario.Scenario` — the gap the
 campaign fuzzer sweeps at scale — and certifies the two single-sender
 zoo members under it:
@@ -11,9 +11,9 @@ zoo members under it:
   party); when the *sender's* traffic is omitted from the start, the
   totality contract ends every trial in a clean graceful timeout with no
   honest split;
-* **phase king** (n > 4t): fully clean under a silent corrupted party on
-  the degenerate event runtime (where the event engine must reproduce
-  lockstep), and degrades without ever splitting honest outputs under a
+* **phase king** (n > 4t): fully clean under a silent corrupted party at
+  the explicit degenerate timing (which must reproduce the default
+  round), and degrades without ever splitting honest outputs under a
   kitchen-sink cell (drop rules + a recovering crash + delays + random
   omission).
 
@@ -74,7 +74,6 @@ class TestBrachaCombined:
             sender=1,
             seed=7,
             trials=4,
-            runtime="event",
             delay_model="uniform:0.5,1.5",
         )
         base.update(overrides)
@@ -141,7 +140,6 @@ class TestPhaseKingCombined:
             sender=2,
             seed=7,
             trials=4,
-            runtime="event",
         )
         base.update(overrides)
         return Scenario.build(**base)
@@ -193,14 +191,6 @@ class TestPhaseKingCombined:
 
 
 class TestScenarioRejectsIllFormedCells:
-    def test_delay_model_requires_event_runtime(self):
-        from repro.errors import ScenarioError
-
-        with pytest.raises(ScenarioError, match="runtime='event'"):
-            Scenario.build(
-                protocol="bracha", n=4, t=1, delay_model="uniform:0.5,1.5"
-            )
-
     def test_resilience_bound_enforced(self):
         from repro.errors import ScenarioError
 

@@ -1,9 +1,9 @@
 """The textbook Section 3.1 round loop: the oracle the engine is tested against.
 
 Production runs go through :class:`repro.net.scheduler.Scheduler`, one
-discrete-event loop whose ``"lockstep"`` preset (and the event preset's
-default timing) is the paper's synchronous model.  :func:`run_lockstep`
-writes that model out the plain way, one round at a time:
+discrete-event loop whose default timing (``rush:constant:1``, given or
+not) is the paper's synchronous model.  :func:`run_lockstep` writes that
+model out the plain way, one round at a time:
 
 1. every unfinished honest party reads last round's messages and speaks;
 2. the fault hook rewrites the honest traffic;
@@ -16,7 +16,7 @@ No calendar, no delay model, no validation, and no metrics, traces or
 flight records.  It draws from the execution RNG in the order
 :func:`repro.net.run_protocol` does, so the same seed gives the same run.
 ``tests/test_net_runtime.py`` and ``tests/test_net_runtime_properties.py``
-compare the engine with it on both presets.
+compare the engine with it at both spellings of that timing.
 
 :func:`observe_round` is the other oracle here: the scheduler's per-round
 byte and message accounting written as one ``Metrics.inc`` per counter

@@ -316,11 +316,26 @@ class TestENV001EnvOutsideSeam:
             """
             import os
 
-            runtime = os.environ.get("REPRO_RUNTIME")
+            shm = os.environ.get("REPRO_SHM_TABLES")
             """,
-            module="repro.net.runtime",
+            module="repro.parallel.warmup",
         )
         assert findings == []
+
+    def test_bad_read_in_the_network_or_pool_engine(self):
+        # Timing is a per-run argument: neither engine may read it from
+        # the environment.
+        for module in ("repro.net.runtime", "repro.parallel.engine"):
+            findings = run_rule(
+                "ENV001",
+                """
+                import os
+
+                runtime = os.environ.get("REPRO_RUNTIME")
+                """,
+                module=module,
+            )
+            assert rule_ids(findings) == ["ENV001"]
 
     def test_good_non_repro_key(self):
         findings = run_rule(

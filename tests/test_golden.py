@@ -36,10 +36,11 @@ def test_one_passing_artifact_per_experiment():
 
 
 def test_fast_experiments_match_their_golden_artifacts(tmp_path, monkeypatch, capsys):
-    # The golden artifacts are lockstep runs; a runtime exported by the
-    # caller's shell must not leak in.
-    for key in ("REPRO_RUNTIME", "REPRO_DELAY_MODEL", "REPRO_OMISSION"):
-        monkeypatch.delenv(key, raising=False)
+    # Experiments always run the paper's timing; no environment variable
+    # may move a single field.
+    monkeypatch.setenv("REPRO_RUNTIME", "event")
+    monkeypatch.setenv("REPRO_DELAY_MODEL", "uniform:0.5,1.5")
+    monkeypatch.setenv("REPRO_OMISSION", "drop-all:1")
     golden, fresh = tmp_path / "golden", tmp_path / "fresh"
     golden.mkdir()
     for experiment_id in FAST:

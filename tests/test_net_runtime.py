@@ -1,12 +1,13 @@
 """Tests for the network runtime (repro.net.runtime / .scheduler).
 
-Covers runtime selection (presets, env vars, validation), the delay and
-omission model vocabulary, the delivery calendar (:class:`EventClock`),
-the engine's progress guards, equivalence with the textbook round loop
-of ``tests/net_oracles.py`` on both presets, and — the load-bearing part
-— the regression pinning the paper's rushing-attack verdicts when the
-rushing adversary is re-derived as the :class:`RushDelay` delay-model
-point.
+Covers the run's timing value (:class:`RuntimeConfig` and its derived
+``kind``; the environment steers nothing), the delay and omission model
+vocabulary, the delivery calendar (:class:`EventClock`), the engine's
+progress guards, equivalence with the textbook round loop of
+``tests/net_oracles.py`` at the default and the explicit
+``rush:constant:1`` timing, and — the load-bearing part — the regression
+pinning the paper's rushing-attack verdicts when the rushing adversary
+is re-derived as the :class:`RushDelay` delay-model point.
 """
 
 import pytest
@@ -31,13 +32,11 @@ from repro.net.runtime import (
     RushDelay,
     RuntimeConfig,
     UniformDelay,
-    apply_runtime_env,
-    capture_runtime_env,
     delay_model_from_spec,
     omission_from_spec,
     resolve_runtime,
 )
-from repro.obs import Metrics
+from repro.obs import Metrics, flightrec
 from repro.obs import runtime as obs_runtime
 from repro.protocols import (
     ChorRabinBroadcast,
@@ -48,15 +47,12 @@ from repro.protocols import (
 
 from .net_oracles import run_lockstep, same_run
 
-PRESETS = ("lockstep", "event")
+#: The paper's round, spelled out: explicit timing, so the run is tagged
+#: ``"event"`` and draws a clock seed, yet it is the default's round model.
+EXPLICIT_RUSH = {"delay_model": "rush:constant:1"}
 
-
-@pytest.fixture(autouse=True)
-def _clean_runtime_env(monkeypatch):
-    """This file tests explicit runtime selection; a REPRO_RUNTIME exported
-    by the caller's shell must not leak in."""
-    for key in ("REPRO_RUNTIME", "REPRO_DELAY_MODEL", "REPRO_OMISSION"):
-        monkeypatch.delenv(key, raising=False)
+#: A real timing for the second leg of the both-timings checks.
+JITTER = {"delay_model": "uniform:0.5,1.5"}
 
 
 class EchoProtocol:
@@ -244,11 +240,11 @@ class TestEventClock:
     @pytest.mark.parametrize(
         "timing, expect_streams",
         [
-            ({"runtime": "lockstep"}, False),
-            ({"runtime": "event"}, False),
-            ({"runtime": "event", "omission": "drop-all:1"}, False),
-            ({"runtime": "event", "delay_model": "uniform:0.5,1.5"}, True),
-            ({"runtime": "event", "omission": "random:0.1"}, True),
+            ({}, False),
+            (EXPLICIT_RUSH, False),
+            ({"omission": "drop-all:1"}, False),
+            (JITTER, True),
+            ({"omission": "random:0.1"}, True),
         ],
     )
     def test_engine_creates_streams_only_for_drawing_timing(
@@ -270,7 +266,7 @@ class TestEventClock:
         assert len(seeded) == len(set(seeded))  # at most one stream per edge
 
 
-# -- runtime selection --------------------------------------------------------------
+# -- the run's timing ---------------------------------------------------------------
 
 
 class TestResolveRuntime:
@@ -281,87 +277,60 @@ class TestResolveRuntime:
         timing = config.resolved_delay_model()
         assert isinstance(timing, RushDelay) and timing.fixed_delay() == 1.0
 
-    def test_env_variable_selects_runtime(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNTIME", "event")
-        monkeypatch.setenv("REPRO_DELAY_MODEL", "uniform:0.5,1.5")
-        monkeypatch.setenv("REPRO_OMISSION", "drop-all:2")
-        config = resolve_runtime()
-        assert config.kind == "event"
-        assert isinstance(config.delay_model, UniformDelay)
-        assert isinstance(config.omission, DropAll)
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNTIME", "event")
-        assert resolve_runtime("lockstep").kind == "lockstep"
-
-    def test_config_passthrough(self):
-        config = RuntimeConfig(kind="event", delay_model=ConstantDelay(2.0))
-        assert resolve_runtime(config) is config
+    def test_kind_is_derived_from_the_timing(self):
+        assert RuntimeConfig().kind == "lockstep"
+        assert resolve_runtime("", "none").kind == "lockstep"
+        assert resolve_runtime(delay_model="uniform:0.5,1.5").kind == "event"
+        assert resolve_runtime(omission="drop-all:1").kind == "event"
+        assert resolve_runtime(delay_model=ConstantDelay(2.0)).delay_model.ticks == 2.0
 
     def test_event_default_delay_model_is_rushing_round(self):
-        resolved = RuntimeConfig(kind="event").resolved_delay_model()
+        resolved = RuntimeConfig(omission=DropAll(1)).resolved_delay_model()
         assert isinstance(resolved, RushDelay)
         assert isinstance(resolved.base, ConstantDelay)
 
-    def test_lockstep_rejects_event_only_knobs(self):
-        with pytest.raises(InvalidParameterError):
-            resolve_runtime("lockstep", delay_model="uniform:0.5,1.5")
-        with pytest.raises(InvalidParameterError):
-            resolve_runtime("lockstep", omission="drop-all:1")
-        with pytest.raises(InvalidParameterError):
-            resolve_runtime("lockstep", max_events=10)
-
-    def test_unknown_runtime_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            resolve_runtime("quantum")
-
-    def test_env_capture_roundtrip(self, monkeypatch):
+    def test_environment_steers_nothing(self, monkeypatch):
+        # No environment variable selects a timing: a run has exactly the
+        # timing it is given.
         monkeypatch.setenv("REPRO_RUNTIME", "event")
-        monkeypatch.delenv("REPRO_DELAY_MODEL", raising=False)
-        captured = capture_runtime_env()
-        assert captured == {"REPRO_RUNTIME": "event"}
-        monkeypatch.setenv("REPRO_RUNTIME", "lockstep")
         monkeypatch.setenv("REPRO_DELAY_MODEL", "uniform:0.5,1.5")
-        apply_runtime_env(captured)
-        assert capture_runtime_env() == {"REPRO_RUNTIME": "event"}
+        monkeypatch.setenv("REPRO_OMISSION", "drop-all:1")
+        assert resolve_runtime().kind == "lockstep"
+        protocol = GennaroBroadcast(5, 2, security_bits=16)
+        assert protocol.announced([1] * 5, seed=3) == (1, 1, 1, 1, 1)
 
 
 # -- the engine ---------------------------------------------------------------------
 
 
 class TestOracleEquivalence:
-    """Both presets reproduce the textbook round loop of ``tests/net_oracles.py``."""
+    """The default and the explicit ``rush:constant:1`` timing reproduce the
+    textbook round loop of ``tests/net_oracles.py``."""
 
     def test_echo_matches_lockstep_exactly(self):
         oracle = run_lockstep(EchoProtocol(3), [10, 20, 30], seed=1)
-        for preset in PRESETS:
-            execution = run_protocol(EchoProtocol(3), [10, 20, 30], seed=1, runtime=preset)
-            assert execution.runtime == preset
+        for timing, kind in (({}, "lockstep"), (EXPLICIT_RUSH, "event")):
+            execution = run_protocol(EchoProtocol(3), [10, 20, 30], seed=1, **timing)
+            assert execution.runtime == kind
             assert same_run(execution, oracle)
 
     def test_execution_records_runtime(self):
         assert run_protocol(EchoProtocol(2), [1, 2], seed=1).runtime == "lockstep"
 
     def test_event_runtime_is_replay_identical(self):
-        first = run_protocol(
-            EchoProtocol(3), [1, 0, 1], seed=7, runtime="event",
-            delay_model="uniform:0.5,1.5",
-        )
-        second = run_protocol(
-            EchoProtocol(3), [1, 0, 1], seed=7, runtime="event",
-            delay_model="uniform:0.5,1.5",
-        )
+        first = run_protocol(EchoProtocol(3), [1, 0, 1], seed=7, **JITTER)
+        second = run_protocol(EchoProtocol(3), [1, 0, 1], seed=7, **JITTER)
         assert first.outputs == second.outputs
         assert first.rounds == second.rounds
 
-    @pytest.mark.parametrize("preset", PRESETS)
-    def test_faulted_round_counting_run_ends_cleanly(self, preset):
+    @pytest.mark.parametrize("timing", [{}, EXPLICIT_RUSH], ids=["lockstep", "event"])
+    def test_faulted_round_counting_run_ends_cleanly(self, timing):
         # Every message dropped, yet chor-rabin counts its rounds to the
         # end: a silent calendar is not a stuck run.
         plan = FaultPlan(rules=(FaultRule(kind="drop"),))
         protocol = ChorRabinBroadcast(3, 1, security_bits=16)
         oracle = run_lockstep(protocol, [1, 0, 1], seed=5, fault_plan=plan)
-        execution = run_protocol(protocol, [1, 0, 1], seed=5, fault_plan=plan, runtime=preset)
+        execution = run_protocol(protocol, [1, 0, 1], seed=5, fault_plan=plan, **timing)
         assert execution.round_count == 10
         assert not execution.timed_out
         assert same_run(execution, oracle)
@@ -370,40 +339,35 @@ class TestOracleEquivalence:
 class TestProgressGuards:
     def test_silent_stall_raises_without_timeout(self):
         # A program that never returns runs to max_rounds, however silent.
-        for preset in PRESETS:
+        for timing in ({}, JITTER):
             with pytest.raises(NetworkError, match="within 50 rounds"):
-                run_protocol(
-                    NeverTerminates(), [None, None], seed=1,
-                    runtime=preset, max_rounds=50,
-                )
+                run_protocol(NeverTerminates(), [None, None], seed=1, max_rounds=50, **timing)
 
     def test_silent_stall_finalizes_under_timeout(self):
-        for preset in PRESETS:
+        for timing in ({}, JITTER):
             execution = run_protocol(
                 NeverTerminates(), [None, None], seed=1,
-                runtime=preset, timeout_rounds=13,
-                timeout_output="gave-up",
+                timeout_rounds=13, timeout_output="gave-up", **timing,
             )
             assert execution.timed_out
             assert execution.round_count == 13
             assert execution.outputs == {1: "gave-up", 2: "gave-up"}
 
-    def test_event_budget_guard(self, monkeypatch):
-        with pytest.raises(NetworkError):
-            run_protocol(
-                ChattyForever(), [None, None], seed=1,
-                runtime="event", max_events=50,
-            )
-        # The default budget bounds the lockstep preset too.
+    def test_event_budget_guard(self, monkeypatch, tmp_path):
+        # One delivery budget bounds every timing; over it, the run dumps
+        # the flight recorder and raises.
         monkeypatch.setattr(net_scheduler, "DEFAULT_MAX_EVENTS", 50)
-        with pytest.raises(NetworkError, match="more than 50"):
-            run_protocol(ChattyForever(), [None, None], seed=1)
+        for timing in ({}, JITTER):
+            with flightrec.recording(dump_dir=str(tmp_path)) as recorder:
+                with pytest.raises(NetworkError, match="more than 50"):
+                    run_protocol(ChattyForever(), [None, None], seed=1, **timing)
+            header = flightrec.read_dump(recorder.dumps[0])[0]
+            assert header["reason"] == "event-budget"
 
     def test_omission_starves_echo(self):
         # Drop everything party 1 sends: party 2 never hears it.
         execution = run_protocol(
-            EchoProtocol(2), [5, 6], seed=1,
-            runtime="event", omission="drop-all:1",
+            EchoProtocol(2), [5, 6], seed=1, omission="drop-all:1",
             timeout_rounds=6, timeout_output=None,
         )
         assert execution.outputs[2] == (None, 6)
@@ -414,7 +378,7 @@ class TestProgressGuards:
         with obs_runtime.observed(metrics=Metrics()) as (_, metrics):
             run_protocol(
                 EchoProtocol(3), [1, 2, 3], seed=1, adversary=Adversary(corrupted={3}),
-                runtime="event", omission="drop-all:1",
+                omission="drop-all:1",
             )
         delivered = metrics.get("net.messages.delivered")
         omitted = metrics.get("net.messages.omitted")
@@ -426,10 +390,10 @@ class TestRushDelayRegression:
     """The paper's rushing-attack verdicts, reproduced as a delay-model point.
 
     These assertions are copies of the lockstep attack tests in
-    ``tests/test_protocols_attacks.py`` run under ``runtime="event"``: the
-    event preset with :class:`RushDelay` timing must reach the exact same
-    verdicts (attack succeeds / protocol resists) the lockstep preset
-    reaches.
+    ``tests/test_protocols_attacks.py`` run with the timing spelled out as
+    ``rush:constant:1``: an explicit :class:`RushDelay` round must reach the
+    exact same verdicts (attack succeeds / protocol resists) the default
+    timing reaches.
     """
 
     def test_sequential_copier_still_succeeds(self):
@@ -442,7 +406,7 @@ class TestRushDelayRegression:
                 (x1, 1, 0, 0),
                 adversary=SequentialCopier(copier=4, target=1),
                 seed=2,
-                runtime="event",
+                **EXPLICIT_RUSH,
             )
             assert event == lockstep
             assert event[3] == x1  # the copy attack still lands
@@ -454,7 +418,7 @@ class TestRushDelayRegression:
                 (x1, 1, 0, 0),
                 adversary=CommitEchoAdversary(copier=4, target=1),
                 seed=2,
-                runtime="event",
+                **EXPLICIT_RUSH,
             )
             assert announced[3] == x1
 
@@ -466,7 +430,7 @@ class TestRushDelayRegression:
                 copier=4, target=1, commit_tag="gen:commit", reveal_tag="gen:reveal"
             ),
             seed=3,
-            runtime="event",
+            **EXPLICIT_RUSH,
         )
         assert announced[3] == 0  # disqualified, constant default
         assert announced[:3] == (1, 1, 0)
@@ -481,7 +445,6 @@ class TestRushDelayRegression:
             (1, 1, 0, 0),
             adversary=CommitEchoAdversary(copier=4, target=1),
             seed=2,
-            runtime="event",
             delay_model=ConstantDelay(1.0),
             timeout_rounds=20,
         )

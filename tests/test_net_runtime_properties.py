@@ -6,11 +6,11 @@ Three invariants, each quantified over random seeds and parameters:
   the same (seed, model) always reproduces the same draws;
 * **determinism** — a full execution under any timing (delivery order,
   transcripts, outputs) is a pure function of (seed, delay model);
-* **degeneracy** — the lockstep preset, and the event preset's default
-  ``RushDelay(ConstantDelay(1))`` timing, *are* the paper's round model:
-  announced vectors, transcripts, and round counts coincide with the
-  textbook loop of ``tests/net_oracles.py`` on the protocol zoo, with and
-  without a rushing adversary.
+* **degeneracy** — the default timing, and the same
+  ``RushDelay(ConstantDelay(1))`` round given explicitly, *are* the
+  paper's round model: announced vectors, transcripts, and round counts
+  coincide with the textbook loop of ``tests/net_oracles.py`` on the
+  protocol zoo, with and without a rushing adversary.
 """
 
 import pytest
@@ -34,22 +34,6 @@ from repro.protocols import (
 )
 
 from .net_oracles import run_lockstep, same_run
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _clean_runtime_env():
-    """The runs below select their preset explicitly or rely on the
-    lockstep default; a REPRO_RUNTIME exported by the caller's shell must
-    not leak in.  Module-scoped (hypothesis forbids function-scoped
-    fixtures under @given)."""
-    import os
-
-    keys = ("REPRO_RUNTIME", "REPRO_DELAY_MODEL", "REPRO_OMISSION")
-    saved = {key: os.environ.pop(key, None) for key in keys}
-    yield
-    for key, value in saved.items():
-        if value is not None:
-            os.environ[key] = value
 
 
 N, T = 4, 1
@@ -134,7 +118,6 @@ class TestDeliveryOrderDeterminism:
                 protocol,
                 list(bits),
                 seed=seed,
-                runtime="event",
                 delay_model=spec,
                 timeout_rounds=40,
                 timeout_output=tuple([0] * N),
@@ -156,9 +139,9 @@ class TestLockstepDegeneracy:
     def test_default_event_timing_equals_lockstep(self, seed, bits, factory_index):
         protocol = FAST_FACTORIES[factory_index]()
         oracle = run_lockstep(protocol, list(bits), seed=seed)
-        for preset in ("lockstep", "event"):
-            execution = run_protocol(protocol, list(bits), seed=seed, runtime=preset)
-            assert same_run(execution, oracle)
+        execution = run_protocol(protocol, list(bits), seed=seed)
+        assert execution.runtime == "lockstep"
+        assert same_run(execution, oracle)
 
     @given(seed=seeds, bits=input_vectors)
     @settings(max_examples=15, deadline=None)
@@ -169,9 +152,9 @@ class TestLockstepDegeneracy:
             protocol,
             list(bits),
             seed=seed,
-            runtime="event",
             delay_model=RushDelay(ConstantDelay(1.0)),
         )
+        assert event.runtime == "event"
         assert same_run(event, oracle)
 
     @given(seed=seeds, bits=input_vectors)
@@ -181,10 +164,10 @@ class TestLockstepDegeneracy:
         oracle = run_lockstep(
             protocol, list(bits), adversary=SequentialCopier(copier=N, target=1), seed=seed
         )
-        for preset in ("lockstep", "event"):
+        for timing in ({}, {"delay_model": "rush:constant:1"}):
             execution = run_protocol(
                 protocol, list(bits), adversary=SequentialCopier(copier=N, target=1),
-                seed=seed, runtime=preset,
+                seed=seed, **timing,
             )
             assert same_run(execution, oracle)
 

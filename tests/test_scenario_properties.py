@@ -89,7 +89,7 @@ class TestFuzzerOutputValidates:
 #: violation signature that depends on one scenario dimension.
 PREDICATES = [
     ("always", lambda s: True),
-    ("event-runtime", lambda s: s.runtime == "event"),
+    ("timed", lambda s: bool(s.delay_model or s.omission)),
     ("has-faults", lambda s: not s.faults.is_empty()),
     ("has-crashes", lambda s: bool(s.faults.crashes)),
     ("copier", lambda s: s.adversary_spec().copier_pair is not None),
@@ -136,7 +136,7 @@ class TestShrinkerFixpoint:
         minimal, _ = shrink_scenario(scenario, lambda s: True)
         # With nothing to preserve, everything reducible must go.
         assert minimal.faults.is_empty()
-        assert minimal.runtime == "lockstep"
+        assert minimal.delay_model == "" and minimal.omission == ""
         assert minimal.adversary == "none"
         assert minimal.trials == 1
         assert minimal.n == 2 and minimal.t == 0

@@ -61,7 +61,7 @@ class TestExpectedGuarantees:
 
     def test_degenerate_event_timing_keeps_promises(self):
         clean = Scenario.build(
-            protocol="bracha", n=4, t=1, runtime="event", delay_model="constant:1"
+            protocol="bracha", n=4, t=1, delay_model="constant:1"
         )
         assert expected_guarantees(clean) == {
             "agreement",
@@ -71,13 +71,12 @@ class TestExpectedGuarantees:
 
     def test_omission_and_real_delays_are_observe_only(self):
         lossy = Scenario.build(
-            protocol="bracha", n=4, t=1, runtime="event", omission="drop-all:2"
+            protocol="bracha", n=4, t=1, omission="drop-all:2"
         )
         delayed = Scenario.build(
             protocol="bracha",
             n=4,
             t=1,
-            runtime="event",
             delay_model="uniform:0.5,1.5",
         )
         assert expected_guarantees(lossy) == frozenset()
@@ -121,7 +120,6 @@ class TestRunScenario:
             protocol="bracha",
             n=4,
             t=1,
-            runtime="event",
             omission="random:0.1",
             faults={"crashes": [{"party": 2, "at_round": 1}]},
         )

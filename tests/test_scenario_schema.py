@@ -61,20 +61,13 @@ class TestScenarioSchema:
             {"protocol": "sequential", "sender": 2}
         )
 
-    def test_network_knobs_require_event_runtime(self):
-        message = problems_of(
-            {"protocol": "sequential", "delay_model": "constant:1"}
-        )
-        assert "scenario.delay_model: only meaningful with runtime='event'" in message
+    def test_runtime_is_an_unknown_key(self):
+        # Timing is the delay_model/omission pair; no preset name rides along.
+        message = problems_of({"protocol": "sequential", "runtime": "event"})
+        assert "scenario.runtime: unknown key" in message
 
     def test_bad_delay_spec_is_diagnosed(self):
-        message = problems_of(
-            {
-                "protocol": "sequential",
-                "runtime": "event",
-                "delay_model": "warp:9",
-            }
-        )
+        message = problems_of({"protocol": "sequential", "delay_model": "warp:9"})
         assert "scenario.delay_model:" in message
 
     def test_adversary_out_of_threshold(self):
