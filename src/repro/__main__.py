@@ -2,7 +2,7 @@
 
 * ``experiments [ID ...]`` — regenerate the paper's tables and figures
   (all of them if no id is given); exits 1 if any reports MISMATCH;
-* ``obs export [ID ...]`` — trace, Prometheus and timeline exports;
+* ``obs export [ID ...]`` — Perfetto trace, artifacts and timelines;
 * ``campaign [validate|exec|shrink]`` — seeded, resumable scenario fuzzing
   over the protocol zoo with minimal-repro shrinking (:mod:`repro.scenario`);
 * ``analyze [PATH ...]`` — the determinism & protocol-discipline static
@@ -28,6 +28,7 @@ import os
 import sys
 from typing import Any, Callable, List, Optional
 
+from . import fastpath
 from .analysis.engine import analyze_files, iter_python_files
 from .analysis.report import DEFAULT_BASELINE_PATH as ANALYSIS_BASELINE_PATH
 from .analysis.report import (
@@ -39,7 +40,7 @@ from .analysis.report import (
 )
 from .analysis.rules import ALL_RULES, resolve_rules, rule_catalog
 from .errors import ScenarioError
-from .experiments.common import ExperimentConfig, standard_protocols
+from .experiments.common import ExperimentConfig, ExperimentResult, standard_protocols
 from .experiments.diffjson import compare_dirs
 from .experiments.registry import REGISTRY, TITLES, run_many
 from .obs import Metrics, Tracer, export, flightrec, runtime
@@ -67,6 +68,13 @@ def _write(path: str, text: str) -> None:
 
 def _write_json(path: str, payload: Any) -> None:
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_artifact(directory: str, result: ExperimentResult) -> str:
+    """Write ``DIRECTORY/<ID>.json``, the artifact ``diffjson`` and the goldens compare."""
+    path = os.path.join(directory, f"{result.experiment_id}.json")
+    _write_json(path, result.to_json_dict())
+    return path
 
 
 def _experiment_ids(args: argparse.Namespace, default: List[str]) -> List[str]:
@@ -115,8 +123,7 @@ def run_experiments(args: argparse.Namespace) -> int:
         print(result.render())
         print(f"  ({result.metrics.get('wall_seconds', 0.0):.1f}s)\n")
         if args.json is not None:
-            path = os.path.join(args.json, f"{result.experiment_id}.json")
-            _write_json(path, result.to_json_dict())
+            _write_artifact(args.json, result)
         failures += not result.passed
     return 1 if failures else 0
 
@@ -125,7 +132,7 @@ def run_experiments(args: argparse.Namespace) -> int:
 
 
 def run_obs_export(args: argparse.Namespace) -> int:
-    """Run experiments traced and write trace, metrics and timeline artifacts."""
+    """Run experiments traced; write the trace, artifacts, kernel telemetry and timelines."""
     experiment_ids = _experiment_ids(args, ["E-COST"])
     config = _config(args, EXPORT_SCALE)
     protocol = standard_protocols(config).get(args.protocol)
@@ -140,27 +147,11 @@ def run_obs_export(args: argparse.Namespace) -> int:
 
     trace_path = os.path.join(args.out, "trace_chrome.json")
     export.write_chrome_trace(trace_path, tracer.records, process_name="repro")
-    written = [trace_path]
-    gauges = export.fastpath_gauges()
-    for result in results:
-        counters = result.metrics.get("counters") or {}
-        histograms = result.metrics.get("histograms") or {}
-        metrics = export.metrics_from_snapshot(counters, histograms)
-        prom_path = os.path.join(args.out, f"{result.experiment_id}.prom")
-        _write(prom_path, export.prometheus_text(metrics, extra_gauges=gauges))
-        snapshot_path = os.path.join(args.out, f"{result.experiment_id}.metrics.json")
-        _write_json(
-            snapshot_path,
-            {
-                "experiment_id": result.experiment_id,
-                "passed": result.passed,
-                "counters": counters,
-                "histograms": histograms,
-                "wall_seconds": result.metrics.get("wall_seconds"),
-                "fastpath": gauges,
-            },
-        )
-        written.extend([prom_path, snapshot_path])
+    written = [trace_path] + [_write_artifact(args.out, result) for result in results]
+    # Process-local and cache-warmth dependent, so never part of an artifact.
+    telemetry_path = os.path.join(args.out, "fastpath.json")
+    _write_json(telemetry_path, fastpath.stats())
+    written.append(telemetry_path)
 
     execution = protocol.run([i % 2 for i in range(protocol.n)], seed=config.seed)
     slug = args.protocol.replace("-", "_")
@@ -384,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         " (measured, never gated)",
     )
 
-    about = "Observability exports: traces, Prometheus metrics and timelines."
+    about = "Observability exports: a Perfetto trace, artifacts and timelines."
     obs = commands.add_parser("obs", help=about, description=about)
     obs_commands = obs.add_subparsers(dest="subcommand", required=True)
     obs_export = _command(obs_commands, "export", run_obs_export, sized)

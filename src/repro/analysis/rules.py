@@ -271,7 +271,7 @@ class TelemetryIntoMetrics(Rule):
     ``fastpath.STATS`` (and anything like it) counts cache warmth, which
     depends on process topology: folding it into a :class:`Metrics`
     registry makes serial and ``--jobs N`` artifacts diverge by design.
-    Telemetry is exported as gauges only (``obs.export.fastpath_gauges``).
+    Telemetry leaves a process only through ``fastpath.stats()``.
     """
 
     id = "DET004"
@@ -501,25 +501,26 @@ class EnvOutsideSeam(Rule):
                     )
 
 
-class MetricNameSanitization(Rule):
-    """OBS001 — metric/span names must survive the Prometheus round-trip.
+class MetricNameShape(Rule):
+    """OBS001 — metric/span names are stable dotted lowercase keys.
 
-    ``obs.export.sanitize_metric_name`` maps ``.`` to ``_`` and replaces
-    anything outside ``[a-zA-Z0-9_:]``; a name that needs replacement (or
-    starts with a digit, or has empty dotted segments) aliases with other
-    names after flattening and breaks ``parse_prometheus_text`` checks.
+    Experiment artifacts, the golden files and
+    :meth:`Metrics.counters_with_prefix` address counters by dotted
+    segment, so every literal name must match
+    ``[a-z][a-z0-9_]*(.[a-z0-9_]+)*``: no uppercase, no other separator
+    (``/``, ``-``, space), no leading digit and no empty segment.
     """
 
     id = "OBS001"
     severity = SEVERITY_ERROR
-    title = "metric/span name fails Prometheus sanitization round-trip"
-    rationale = "unsanitizable names alias after exposition flattening"
+    title = "metric/span name is not a dotted lowercase key"
+    rationale = "artifacts, goldens and prefix queries address names by segment"
 
     def _check_literal(self, name: str) -> Optional[str]:
         if not _METRIC_NAME.fullmatch(name):
             return (
                 f"name {name!r} must match [a-z][a-z0-9_]*(.[a-z0-9_]+)* to"
-                " survive the Prometheus sanitization round-trip"
+                " be a dotted lowercase key"
             )
         return None
 
@@ -531,8 +532,8 @@ class MetricNameSanitization(Rule):
             fragment = _METRIC_FRAGMENT.fullmatch(text)
             if fragment is None or (index == 0 and not re.match(r"[a-z]", text)):
                 return (
-                    f"metric-name fragment {text!r} contains characters the"
-                    " Prometheus exposition cannot round-trip"
+                    f"metric-name fragment {text!r} contains characters outside"
+                    " a dotted lowercase key"
                 )
         return None
 
@@ -677,7 +678,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     MessageSlots(),
     RunHonorsTimeout(),
     EnvOutsideSeam(),
-    MetricNameSanitization(),
+    MetricNameShape(),
     ScenarioBypassesSchema(),
     ModularPowOutsideCrypto(),
 )

@@ -87,12 +87,6 @@ def seed_safe_primes(entries: Iterable[Tuple[int, int, int]]) -> None:
             _SAFE_PRIME_CACHE.setdefault(bits, (p, q))
 
 
-def clear_parameter_caches() -> None:
-    """Drop the memoized parameters and groups (test isolation hook)."""
-    _SAFE_PRIME_CACHE.clear()
-    _GROUP_CACHE.clear()
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """An element of a :class:`SchnorrGroup` (a quadratic residue mod p)."""

@@ -3,7 +3,6 @@
 from .base import Distribution, Ensemble
 from .classes import (
     ALL,
-    CHAIN,
     PHI,
     PSI_C,
     PSI_L,
@@ -22,18 +21,13 @@ from .correlated import (
 )
 from .standard import (
     all_singletons,
-    bernoulli_ensemble,
     bernoulli_product,
     singleton,
-    singleton_ensemble,
     uniform,
-    uniform_ensemble,
 )
 from .testers import (
     empirical_distribution,
     estimate_local_independence_gap,
-    estimate_product_gap,
-    sampler_of,
 )
 
 __all__ = [
@@ -41,7 +35,6 @@ __all__ = [
     "Ensemble",
     "DistributionClass",
     "ALL",
-    "CHAIN",
     "PHI",
     "PSI_C",
     "PSI_L",
@@ -53,16 +46,11 @@ __all__ = [
     "singleton",
     "all_singletons",
     "bernoulli_product",
-    "uniform_ensemble",
-    "singleton_ensemble",
-    "bernoulli_ensemble",
     "all_equal",
     "parity",
     "noisy_copy",
     "near_product_mixture",
     "leaky_singleton",
     "empirical_distribution",
-    "estimate_product_gap",
     "estimate_local_independence_gap",
-    "sampler_of",
 ]

@@ -93,8 +93,6 @@ PSI_C = DistributionClass(
 )
 ALL = DistributionClass("All = D(Sb)", "all input distributions", lambda _d: True)
 
-CHAIN = (SINGLETON, UNIFORM, PSI_L, PSI_C, ALL)
-
 
 def claim_56_witnesses(n: int) -> Dict[str, Dict[str, object]]:
     """Witness distributions regenerating each strict inclusion of Claim 5.6.

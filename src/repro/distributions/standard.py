@@ -11,7 +11,7 @@ import itertools
 from typing import Sequence
 
 from ..errors import DistributionError
-from .base import Distribution, Ensemble
+from .base import Distribution
 
 
 def uniform(n: int) -> Distribution:
@@ -53,15 +53,3 @@ def bernoulli_product(biases: Sequence[float]) -> Distribution:
         if probability > 0:
             table[vector] = probability
     return Distribution(n, table, name=f"product-{biases}")
-
-
-def uniform_ensemble(n: int) -> Ensemble:
-    return Ensemble.constant(uniform(n), name=f"uniform-{n}")
-
-
-def singleton_ensemble(vector: Sequence[int]) -> Ensemble:
-    return Ensemble.constant(singleton(vector))
-
-
-def bernoulli_ensemble(biases: Sequence[float]) -> Ensemble:
-    return Ensemble.constant(bernoulli_product(biases))

@@ -38,13 +38,6 @@ def empirical_distribution(
     )
 
 
-def estimate_product_gap(
-    sampler: Sampler, n: int, samples: int, rng: random.Random
-) -> float:
-    """Sample-based estimate of the TV distance to the marginal product."""
-    return empirical_distribution(sampler, n, samples, rng).product_gap()
-
-
 def estimate_local_independence_gap(
     sampler: Sampler,
     n: int,
@@ -79,8 +72,3 @@ def estimate_local_independence_gap(
                     )
                     worst = max(worst, gap)
     return worst
-
-
-def sampler_of(distribution: Distribution) -> Sampler:
-    """Adapt a table distribution to the sampler interface."""
-    return distribution.sample

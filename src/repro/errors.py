@@ -48,10 +48,6 @@ class ConsistencyError(ProtocolError):
     """Honest parties disagree on an output that must be consistent."""
 
 
-class CorrectnessError(ProtocolError):
-    """An honest party's input was not faithfully announced."""
-
-
 class DistributionError(SimbcastError):
     """An input distribution ensemble is malformed or unsupported."""
 

@@ -7,7 +7,7 @@ See DESIGN.md §3 and the paper's Section 3.1.  The key entry point is
 from .adversary import Adversary, PassiveAdversary, ProgramAdversary
 from .message import BROADCAST, Draft, Inbox, Message, RoundRecord, broadcast, send
 from .network import run_protocol
-from .party import PartyContext, PartyState, make_party_rngs
+from .party import PartyContext, PartyState
 from .runtime import (
     ConstantDelay,
     DelayModel,
@@ -42,7 +42,6 @@ __all__ = [
     "run_protocol",
     "PartyContext",
     "PartyState",
-    "make_party_rngs",
     "DEFAULT_MAX_ROUNDS",
     "Scheduler",
     "Execution",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Iterable, List, Optional
+from typing import Any, Generator, Iterable, List, Optional
 
 from ..errors import ProtocolError
 from .message import Draft, Inbox, Message
@@ -98,8 +98,3 @@ def _validate_drafts(party_id: int, drafts: Any) -> List[Draft]:
             )
         result.append(draft)
     return result
-
-
-def make_party_rngs(master: random.Random, n: int) -> Dict[int, random.Random]:
-    """Derive an independent RNG per party from a master RNG."""
-    return {i: random.Random(master.getrandbits(64)) for i in range(1, n + 1)}

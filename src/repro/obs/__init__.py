@@ -7,7 +7,7 @@ tracing + metrics layer threaded through the network engine, the crypto
 toolkit, the broadcast emulation and the MPC substrate:
 
 * :class:`Tracer` — nested wall-clock spans plus structured events,
-  exportable as JSONL (one record per line);
+  exported as a Chrome/Perfetto trace (:func:`export.write_chrome_trace`);
 * :class:`Metrics` — a registry of named counters and histograms
   (rounds, messages, bytes, per-party traffic, group exponentiations,
   hash/PRG calls, field multiplications, VSS shares verified, ...);
@@ -18,19 +18,21 @@ toolkit, the broadcast emulation and the MPC substrate:
 
 Typical use::
 
-    from repro.obs import Metrics, Tracer, runtime
+    from repro.obs import Metrics, Tracer, export, runtime
 
     with runtime.observed(tracer=Tracer(), metrics=Metrics()) as (tr, m):
         execution = protocol.run(inputs, seed=7)
     print(m.get("net.messages.sent"), m.get("crypto.group.exp"))
-    tr.write_jsonl("trace.jsonl")
+    export.write_chrome_trace("trace.json", tr.records)
     m.write_json("metrics.json")
+
+An experiment's counters and histograms leave in its ``--json`` artifact.
 """
 
 from . import export, flightrec, runtime
 from .flightrec import FlightRecorder
 from .metrics import Histogram, Metrics, jsonable, payload_size
-from .tracer import NOOP_TRACER, NoopTracer, Tracer, read_jsonl
+from .tracer import NOOP_TRACER, NoopTracer, Tracer
 
 __all__ = [
     "FlightRecorder",
@@ -43,6 +45,5 @@ __all__ = [
     "flightrec",
     "jsonable",
     "payload_size",
-    "read_jsonl",
     "runtime",
 ]

@@ -1,60 +1,25 @@
-"""Exporters: Chrome trace-event JSON, Prometheus text, message timelines.
-
-Three ways out of the in-process observability registries:
+"""Exporters: the Chrome trace-event JSON and per-round message timelines.
 
 * :func:`chrome_trace` turns :class:`~repro.obs.tracer.Tracer` records
   into the Chrome trace-event JSON format — load the file in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing`` to see the span tree
-  on a timeline;
-* :func:`prometheus_text` renders a :class:`~repro.obs.metrics.Metrics`
-  registry in the Prometheus text exposition format (counters as
-  ``*_total``, histograms as count/sum plus min/max/mean gauges), with
-  metric names sanitized and per-entity suffixes (``...party.3``) lifted
-  into labels;
+  on a timeline.  This is the one way spans leave a process;
 * :func:`timeline` / :func:`timeline_html` render any
   :class:`~repro.net.transcript.Execution` as a per-round message-flow
   table (who sent what to whom, faults inline).
 
-:func:`fastpath_gauges` surfaces the fastpath kernels' process-local
-``fastpath.*`` telemetry as a gauge namespace for these exports.  Those
-counters are cache-warmth dependent (they differ between serial and
-parallel topologies by design), so they appear *only* here and in obs
-snapshots — never in the deterministic, diffjson-gated experiment
-artifact counters.
+Counters have no exporter here: every :class:`~repro.obs.metrics.Metrics`
+counter and histogram an experiment records already leaves in its
+``--json`` artifact (``ExperimentResult.to_json_dict``), which
+``diffjson`` gates.  The fastpath kernels' process-local telemetry leaves
+only through :func:`repro.fastpath.stats`.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from html import escape
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-from .metrics import Histogram, Metrics
-
-
-def metrics_from_snapshot(
-    counters: Mapping[str, float], histograms: Optional[Mapping[str, Mapping[str, float]]] = None
-) -> Metrics:
-    """Rebuild a :class:`Metrics` registry from snapshot dicts.
-
-    Experiment results carry their metrics as plain ``counters`` /
-    ``histograms`` snapshots (see ``ExperimentResult.metrics``); this
-    inverse lets the exporters render them without re-running anything.
-    Histogram means are recomputed from count/sum, as in the original.
-    """
-    metrics = Metrics()
-    for name, value in (counters or {}).items():
-        metrics.inc(name, value)
-    for name, stats in (histograms or {}).items():
-        histogram = Histogram()
-        histogram.count = int(stats.get("count", 0))
-        histogram.total = float(stats.get("sum", 0.0))
-        if histogram.count:
-            histogram.min = float(stats.get("min", 0.0))
-            histogram.max = float(stats.get("max", 0.0))
-        metrics.histograms[name] = histogram
-    return metrics
 
 
 # -- Chrome trace-event JSON ---------------------------------------------------------
@@ -123,131 +88,6 @@ def write_chrome_trace(
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(chrome_trace(records, process_name=process_name), handle, indent=1)
         handle.write("\n")
-
-
-# -- Prometheus text exposition ------------------------------------------------------
-
-_INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-#: Per-entity counter suffixes lifted into labels: ``net.bytes.sent.party.3``
-#: becomes ``repro_net_bytes_sent_by_party_total{party="3"}``.
-_LABEL_SUFFIXES = (re.compile(r"^(?P<base>.+)\.party\.(?P<value>\d+)$", ), "party")
-
-
-def sanitize_metric_name(name: str, namespace: str = "repro") -> str:
-    """A Prometheus-legal metric name: namespaced, ``[a-zA-Z0-9_:]`` only."""
-    flat = _INVALID_CHARS.sub("_", name.replace(".", "_"))
-    if not flat or not (flat[0].isalpha() or flat[0] in "_:"):
-        flat = f"_{flat}"
-    return f"{namespace}_{flat}" if namespace else flat
-
-
-def split_labels(name: str) -> Tuple[str, Dict[str, str]]:
-    """Split a dotted counter name into (base name, labels).
-
-    Only the per-entity suffixes the instrumentation actually emits are
-    recognized; everything else passes through label-free.
-    """
-    pattern, label = _LABEL_SUFFIXES
-    match = pattern.match(name)
-    if match:
-        return f"{match.group('base')}.by_{label}", {label: match.group("value")}
-    return name, {}
-
-
-def _format_value(value: Any) -> str:
-    number = float(value)
-    if number.is_integer():
-        return str(int(number))
-    return repr(number)
-
-
-def _format_labels(labels: Mapping[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{key}="{value}"' for key, value in sorted(labels.items()))
-    return f"{{{inner}}}"
-
-
-def prometheus_text(
-    metrics: Metrics,
-    namespace: str = "repro",
-    extra_gauges: Optional[Mapping[str, float]] = None,
-) -> str:
-    """Render a registry in the Prometheus text exposition format.
-
-    Counters become ``<namespace>_<name>_total`` counter families;
-    histograms become ``_count``/``_sum`` (summary convention) plus
-    ``_min``/``_max``/``_mean`` gauges; ``extra_gauges`` (e.g.
-    :func:`fastpath_gauges`) are appended as plain gauges.
-    """
-    families: Dict[str, Dict[str, Any]] = {}
-
-    def family(name: str, kind: str) -> Dict[str, Any]:
-        entry = families.setdefault(name, {"kind": kind, "samples": []})
-        return entry
-
-    for name, value in sorted(metrics.counters.items()):
-        base, labels = split_labels(name)
-        fam = family(f"{sanitize_metric_name(base, namespace)}_total", "counter")
-        fam["samples"].append((labels, value))
-    for name, histogram in sorted(metrics.histograms.items()):
-        base, labels = split_labels(name)
-        flat = sanitize_metric_name(base, namespace)
-        snap = histogram.snapshot()
-        family(f"{flat}_count", "counter")["samples"].append((labels, snap["count"]))
-        family(f"{flat}_sum", "counter")["samples"].append((labels, snap["sum"]))
-        for stat in ("min", "max", "mean"):
-            family(f"{flat}_{stat}", "gauge")["samples"].append((labels, snap[stat]))
-    for name, value in sorted((extra_gauges or {}).items()):
-        base, labels = split_labels(name)
-        family(sanitize_metric_name(base, namespace), "gauge")["samples"].append(
-            (labels, value)
-        )
-
-    lines: List[str] = []
-    for name in sorted(families):
-        entry = families[name]
-        lines.append(f"# TYPE {name} {entry['kind']}")
-        for labels, value in entry["samples"]:
-            lines.append(f"{name}{_format_labels(labels)} {_format_value(value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_prometheus_text(text: str) -> Dict[str, float]:
-    """Parse exposition text back into ``{'name{labels}': value}``.
-
-    The round-trip half used by the tests and the CI smoke job — enough
-    of the format to verify :func:`prometheus_text` output, not a
-    general scraper.
-    """
-    samples: Dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.rpartition(" ")
-        samples[key] = float(value)
-    return samples
-
-
-def fastpath_gauges() -> Dict[str, float]:
-    """The fastpath kernels' process-local telemetry as a gauge mapping.
-
-    Flattens :func:`repro.fastpath.stats` into dotted gauge names
-    (``fastpath.pow.table_hits``, ``fastpath.caches.tables``).
-    Process-local by design: these values depend on cache warmth and
-    process topology, so they belong in exported snapshots, never in
-    diffjson-gated artifact counters.
-    """
-    from .. import fastpath
-
-    snapshot = fastpath.stats()
-    gauges: Dict[str, float] = {}
-    for name, value in snapshot["counters"].items():
-        gauges[name] = float(value)
-    for cache, size in snapshot.get("caches", {}).items():
-        gauges[f"fastpath.caches.{cache}"] = float(size)
-    return gauges
 
 
 # -- per-round message-flow timelines ------------------------------------------------

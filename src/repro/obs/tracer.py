@@ -10,9 +10,11 @@ dict.  Two record types exist:
   inline, stamped with the enclosing span path.
 
 ``path`` is the slash-joined chain of open span names ("scheduler.run/
-round"), which is what makes the flat JSONL stream reconstructible into a
+round"), which is what makes the flat record list reconstructible into a
 tree.  All timestamps come from ``time.perf_counter`` relative to the
-tracer's creation, so traces are diffable across runs.
+tracer's creation, so traces are diffable across runs.  The records leave
+a process as the Chrome/Perfetto trace
+(:func:`repro.obs.export.write_chrome_trace`).
 
 :class:`NoopTracer` implements the same surface with every method a
 no-op; the module-level :data:`NOOP_TRACER` is the process default (see
@@ -23,7 +25,6 @@ nothing.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -138,7 +139,7 @@ class Tracer:
                 folded["depth"] = record["depth"] + base_depth
             self.records.append(folded)
 
-    # -- reading / export --------------------------------------------------------
+    # -- reading -----------------------------------------------------------------
 
     @property
     def current_depth(self) -> int:
@@ -158,30 +159,8 @@ class Tracer:
             if record["type"] == "event" and (name is None or record["name"] == name)
         ]
 
-    def to_jsonl(self) -> str:
-        """One JSON object per line, in record order (the trace artifact)."""
-        return "\n".join(json.dumps(record, sort_keys=True) for record in self.records)
-
-    def write_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            text = self.to_jsonl()
-            if text:
-                handle.write(text)
-                handle.write("\n")
-
     def __repr__(self) -> str:
         return f"Tracer({len(self.records)} records)"
-
-
-def read_jsonl(path) -> List[Dict[str, Any]]:
-    """Load a trace written by :meth:`Tracer.write_jsonl`."""
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 class _NullSpan:
@@ -222,9 +201,6 @@ class NoopTracer:
 
     def events(self, name: Optional[str] = None) -> list:
         return []
-
-    def to_jsonl(self) -> str:
-        return ""
 
     def __repr__(self) -> str:
         return "NoopTracer()"

@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import fastpath
+from ..errors import ExperimentError
 from ..obs import Metrics, Tracer, flightrec as _flightrec
 from ..obs import runtime as _obs_runtime
 from . import shm, warmup
@@ -152,6 +154,10 @@ class ExperimentEngine:
         Otherwise tasks fan out over the engine's persistent pool and the
         workers' captured metrics / trace records fold into the caller's
         ambient registry in task order before the payloads are returned.
+
+        A worker that dies mid-task breaks the whole pool: the engine drops
+        it (the next call starts a fresh one), dumps the flight recorder if
+        one is on, and raises :class:`~repro.errors.ExperimentError`.
         """
         tasks = list(arglists)
         if self.jobs == 1 or len(tasks) <= 1:
@@ -160,7 +166,12 @@ class ExperimentEngine:
         trace = _obs_runtime.tracer.enabled
         flight = _obs_runtime.flightrec is not None
         shard_tasks = [(fn, tuple(args), trace, flight) for args in tasks]
-        outcomes = list(self._ensure_pool().map(_run_shard, shard_tasks))
+        try:
+            outcomes = list(self._ensure_pool().map(_run_shard, shard_tasks))
+        except BrokenProcessPool as exc:
+            self.close()
+            _flightrec.dump_if_active("pool-worker-died", jobs=self.jobs)
+            raise ExperimentError(f"a pool worker died: {exc}") from exc
 
         ambient = _obs_runtime.metrics
         recorder = _obs_runtime.flightrec

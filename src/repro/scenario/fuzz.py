@@ -25,7 +25,7 @@ draws respect each member's resilience bound via the registry specs.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..faults.plan import KINDS
 from .spec import Scenario
@@ -208,14 +208,3 @@ def generate_scenario(campaign_seed: int, index: int) -> Scenario:
         data["omission"] = omission
     return Scenario.from_dict(data)
 
-
-def generate_batch(
-    campaign_seed: int, start: int, count: int, skip: Optional[set] = None
-) -> List[Tuple[int, Scenario]]:
-    """Scenarios ``[start, start + count)``, minus already-completed indices."""
-    completed = skip or set()
-    return [
-        (index, generate_scenario(campaign_seed, index))
-        for index in range(start, start + count)
-        if index not in completed
-    ]

@@ -13,7 +13,6 @@ from repro.obs import (
     Tracer,
     jsonable,
     payload_size,
-    read_jsonl,
     runtime,
 )
 
@@ -155,25 +154,6 @@ class TestTracer:
         assert ok["attrs"] == {"items": 3}
         assert broken["attrs"]["error"] == "ValueError"
 
-    def test_jsonl_round_trip(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("run", n=3):
-            tracer.event("round", number=1, sizes=(4, 5))
-        path = tmp_path / "trace.jsonl"
-        tracer.write_jsonl(path)
-        assert read_jsonl(path) == tracer.records
-        # Each line is standalone JSON.
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(tracer.records)
-        for line in lines:
-            json.loads(line)
-
-    def test_empty_trace_writes_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        Tracer().write_jsonl(path)
-        assert path.read_text() == ""
-        assert read_jsonl(path) == []
-
 
 class TestNoopTracer:
     def test_truly_noop(self):
@@ -183,7 +163,6 @@ class TestNoopTracer:
             tracer.event("event", x=1)
         assert tracer.records == ()
         assert tracer.spans() == [] and tracer.events() == []
-        assert tracer.to_jsonl() == ""
         assert not tracer.enabled
 
     def test_shared_instance_has_no_state(self):

@@ -1,11 +1,11 @@
-"""Exporter tests: Chrome trace JSON, Prometheus text, timelines, obs CLI."""
+"""Exporter tests: Chrome trace JSON, timelines, obs CLI."""
 
 import json
 
 import pytest
 
 from repro.__main__ import main
-from repro.obs import Metrics, Tracer, export
+from repro.obs import Tracer, export
 from repro.protocols import CGMABroadcast, NaiveCommitReveal
 
 
@@ -47,58 +47,16 @@ class TestChromeTrace:
         assert loaded["displayTimeUnit"] == "ms"
         assert len(loaded["traceEvents"]) == 4  # 1 meta + 2 spans + 1 instant
 
-
-class TestPrometheus:
-    def test_sanitize_metric_name(self):
-        assert export.sanitize_metric_name("net.bytes.sent") == "repro_net_bytes_sent"
-        assert export.sanitize_metric_name("a-b c", namespace="") == "a_b_c"
-        assert export.sanitize_metric_name("9lives", namespace="") == "_9lives"
-
-    def test_split_labels(self):
-        base, labels = export.split_labels("net.bytes.sent.party.3")
-        assert base == "net.bytes.sent.by_party"
-        assert labels == {"party": "3"}
-        assert export.split_labels("crypto.group.exp") == ("crypto.group.exp", {})
-
-    def test_counters_histograms_and_gauges(self):
-        metrics = Metrics()
-        metrics.inc("net.messages.sent", 12)
-        metrics.inc("net.bytes.sent.party.1", 100)
-        metrics.inc("net.bytes.sent.party.2", 250)
-        metrics.observe("round.messages", 3)
-        metrics.observe("round.messages", 5)
-        text = export.prometheus_text(metrics, extra_gauges={"fastpath.caches.tables": 4.0})
-        samples = export.parse_prometheus_text(text)
-        assert samples["repro_net_messages_sent_total"] == 12
-        assert samples['repro_net_bytes_sent_by_party_total{party="1"}'] == 100
-        assert samples['repro_net_bytes_sent_by_party_total{party="2"}'] == 250
-        assert samples["repro_round_messages_count"] == 2
-        assert samples["repro_round_messages_sum"] == 8
-        assert samples["repro_round_messages_min"] == 3
-        assert samples["repro_round_messages_max"] == 5
-        assert samples["repro_round_messages_mean"] == 4
-        assert samples["repro_fastpath_caches_tables"] == 4
-        assert "# TYPE repro_net_messages_sent_total counter" in text
-        assert "# TYPE repro_fastpath_caches_tables gauge" in text
-
-    def test_empty_registry_renders_empty(self):
-        assert export.prometheus_text(Metrics()) == ""
-
-    def test_metrics_from_snapshot_round_trip(self):
-        metrics = Metrics()
-        metrics.inc("a.b", 7)
-        metrics.observe("h", 2.0)
-        metrics.observe("h", 4.0)
-        snap = metrics.snapshot()
-        rebuilt = export.metrics_from_snapshot(snap["counters"], snap["histograms"])
-        assert rebuilt.snapshot() == snap
-
-    def test_fastpath_gauges_surface_process_telemetry(self):
-        # Generate some kernel traffic so the counters are non-trivial.
-        NaiveCommitReveal(3, 1).run([1, 0, 1], seed=2)
-        gauges = export.fastpath_gauges()
-        assert any(name.startswith("fastpath.caches.") for name in gauges)
-        assert all(isinstance(value, float) for value in gauges.values())
+    def test_attributes_are_written_json_safe(self, tmp_path):
+        tracer = Tracer()
+        with tracer.span("run", sizes=(4, 5)):
+            tracer.event("round", sizes=(6, 7))
+        path = tmp_path / "trace.json"
+        export.write_chrome_trace(path, tracer.records)
+        with open(path, encoding="utf-8") as handle:
+            events = json.load(handle)["traceEvents"]
+        args = {e["name"]: e["args"] for e in events if e["ph"] in ("X", "i")}
+        assert args == {"run": {"sizes": [4, 5]}, "round": {"sizes": [6, 7]}}
 
 
 class TestTimeline:
@@ -155,18 +113,24 @@ class TestObsCLI:
         )
         assert code == 0
         names = {path.name for path in tmp_path.iterdir()}
-        assert "trace_chrome.json" in names
-        assert "E-RND.prom" in names
-        assert "E-RND.metrics.json" in names
-        assert "timeline_sequential.txt" in names
-        assert "timeline_sequential.html" in names
+        assert names == {
+            "trace_chrome.json",
+            "E-RND.json",
+            "fastpath.json",
+            "timeline_sequential.txt",
+            "timeline_sequential.html",
+        }
         with open(tmp_path / "trace_chrome.json", encoding="utf-8") as handle:
             trace = json.load(handle)
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
-        with open(tmp_path / "E-RND.prom", encoding="utf-8") as handle:
-            samples = export.parse_prometheus_text(handle.read())
-        assert any(name.startswith("repro_fastpath") for name in samples)
-        assert any(name.startswith("repro_crypto") or name.startswith("repro_net") for name in samples)
+        with open(tmp_path / "E-RND.json", encoding="utf-8") as handle:
+            artifact = json.load(handle)
+        assert artifact["experiment_id"] == "E-RND" and artifact["passed"]
+        assert artifact["metrics"]["counters"]["net.messages.sent"] > 0
+        with open(tmp_path / "fastpath.json", encoding="utf-8") as handle:
+            telemetry = json.load(handle)
+        assert "counters" in telemetry
+        assert telemetry["caches"]
 
     def test_unknown_protocol_fails_before_running(self, tmp_path, capsys):
         out = tmp_path / "out"

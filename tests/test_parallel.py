@@ -9,12 +9,15 @@ only wall-clock fields stripped.
 import inspect
 import json
 import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
+from repro.errors import ExperimentError
 from repro.experiments import (
     SHARDED_IDS,
     ExperimentConfig,
@@ -27,7 +30,7 @@ from repro.experiments import registry as registry_module
 from repro.experiments.common import TRIAL_SALT_SHIFT
 from repro.experiments.diffjson import compare_dirs, strip_wall_clock
 from repro.experiments.lemma64 import _collect_draws
-from repro.obs import Metrics, Tracer, runtime
+from repro.obs import Metrics, Tracer, flightrec, runtime
 from repro.parallel import SERIAL_ENGINE, ExperimentEngine, normalize_jobs
 
 
@@ -46,6 +49,13 @@ def _count_and_observe(x):
         with runtime.tracer.span("test.shard", x=x):
             runtime.tracer.event("test.tick", x=x)
     return x
+
+
+def _kill_own_worker(coordinator_pid):
+    """Die by SIGKILL, as an out-of-memory-killed worker would (inline runs live)."""
+    if os.getpid() != coordinator_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return coordinator_pid
 
 
 def _stripped(result):
@@ -98,6 +108,16 @@ class TestEngine:
         assert len(spans) == 4
         assert all(span["path"].startswith("coordinator/") for span in spans)
         assert len(tracer.events("test.tick")) == 4
+
+    def test_killed_worker_raises_typed_error_and_engine_recovers(self, tmp_path):
+        with ExperimentEngine(jobs=2) as engine:
+            with flightrec.recording(dump_dir=str(tmp_path)):
+                with pytest.raises(ExperimentError) as excinfo:
+                    engine.map(_kill_own_worker, [(os.getpid(),)] * 2)
+            assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+            (dump,) = tmp_path.iterdir()
+            assert flightrec.read_dump(dump)[0]["reason"] == "pool-worker-died"
+            assert engine.map(_square, [(i,) for i in range(5)]) == [0, 1, 4, 9, 16]
 
 
 class TestTracerFold:
