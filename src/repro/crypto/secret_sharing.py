@@ -9,7 +9,7 @@ secret itself).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .. import fastpath
 from ..errors import InvalidParameterError, ShareError
@@ -47,23 +47,36 @@ class ShamirSharing:
     def share(self, secret: IntoElement, rng) -> Tuple[Polynomial, Dict[int, Share]]:
         """Share a secret; returns the dealing polynomial and per-party shares.
 
-        The polynomial is returned so verifiable schemes (VSS) can commit to
-        its coefficients; plain callers should discard it.
+        :meth:`deal` boxed.  The polynomial is returned so verifiable
+        schemes (VSS) can commit to its coefficients; plain callers should
+        discard it.
         """
         field = self.field
-        polynomial = Polynomial.random(
-            field, self.threshold, rng, constant_term=field.element(secret)
-        )
-        coefficients = [c.value for c in polynomial.coefficients]
-        # Horner's rule charges one multiplication per (stripped) coefficient
-        # and evaluation point.
-        if coefficients and _obs.metrics is not None:
-            _obs.metrics.inc("crypto.field.mul", len(coefficients) * self.parties)
-        points = fastpath.shamir_points(field.modulus, coefficients, self.parties)
+        coefficients, points = self.deal(field.residue(secret), rng)
         shares = {
             i: Share(i, FieldElement(field, value)) for i, value in enumerate(points, 1)
         }
-        return polynomial, shares
+        return Polynomial(field, coefficients), shares
+
+    def deal(self, secret: int, rng) -> Tuple[List[int], List[int]]:
+        """One dealing on residues: ``(coefficients, [f(1), ..., f(parties)])``.
+
+        ``secret`` is a residue in ``[0, p)``.  The coefficients are drawn
+        exactly as ``Polynomial.random`` draws them (``threshold + 1``
+        calls to ``rng.randrange(p)``, the first overwritten by the
+        secret) and returned lowest degree first with trailing zeros
+        stripped, as the ``Polynomial`` constructor stores them.  Horner's
+        rule charges one ``crypto.field.mul`` per stripped coefficient and
+        party, as evaluating the boxed polynomial would.
+        """
+        modulus = self.field.modulus
+        coefficients = [rng.randrange(modulus) for _ in range(self.threshold + 1)]
+        coefficients[0] = secret
+        while coefficients and not coefficients[-1]:
+            coefficients.pop()
+        if coefficients and _obs.metrics is not None:
+            _obs.metrics.inc("crypto.field.mul", len(coefficients) * self.parties)
+        return coefficients, fastpath.shamir_points(modulus, coefficients, self.parties)
 
     def reconstruct(self, shares: Iterable[Share]) -> FieldElement:
         """Reconstruct the secret from at least threshold+1 shares."""

@@ -18,7 +18,7 @@ model permits anyway.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from ..crypto.field import FieldElement, PrimeField
 from ..crypto.polynomial import lagrange_coefficients_at_zero
@@ -45,6 +45,27 @@ def recombine(
         _obs.metrics.inc("crypto.field.mul", n)
     total = sum(lagrange[j - 1] * received[j] for j in range(1, n + 1))
     return FieldElement(field_, total % field_.modulus)
+
+
+def _int_pairs(inbox, tag: str) -> Iterator[Tuple[int, int, int]]:
+    """``(sender, key, value)`` for every well-formed entry of ``tag``'s messages.
+
+    A BGW payload is a tuple of ``(key, value)`` int pairs (gate id or
+    output index, then a share).  Anything else a corrupted party sends
+    (a payload that is not a tuple or list, an entry that is not a pair,
+    or a key or value that is not an ``int``) is skipped, so garbage
+    reads as a missing share and never raises in an honest party.
+    """
+    for message in inbox.with_tag(tag):
+        payload = message.payload
+        if type(payload) is not tuple and type(payload) is not list:
+            continue
+        sender = message.sender
+        for entry in payload:
+            if (type(entry) is tuple or type(entry) is list) and len(entry) == 2:
+                key, value = entry
+                if type(key) is int and type(value) is int:
+                    yield sender, key, value
 
 
 def bgw_evaluate(
@@ -76,38 +97,30 @@ def bgw_evaluate(
     in_tag = f"bgw:{instance}:in"
     mul_tag = f"bgw:{instance}:mul"
     out_tag = f"bgw:{instance}:out"
+    modulus = field_.modulus
     lagrange = [c.value for c in lagrange_coefficients_at_zero(field_, range(1, n + 1))]
 
     # ---- round 1: share inputs ---------------------------------------------------
     my_wires = circuit.inputs_of(me)
-    per_recipient: Dict[int, List[Tuple[int, int]]] = {j: [] for j in range(1, n + 1)}
+    per_recipient: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for name, gate_id in my_wires:
-        value = field_.element(my_inputs.get(name, 0))
-        _, shares = sharing.share(value, ctx.rng)
-        for j in range(1, n + 1):
-            per_recipient[j].append((gate_id, shares[j].value.value))
+        _, points = sharing.deal(field_.residue(my_inputs.get(name, 0)), ctx.rng)
+        for outgoing, point in zip(per_recipient, points, strict=True):
+            outgoing.append((gate_id, point))
     if _obs.metrics is not None:
         _obs.metrics.inc("mpc.bgw.evaluations")
         _obs.metrics.inc("mpc.bgw.input_wires_shared", len(my_wires))
     inbox = yield [
-        send(j, tuple(per_recipient[j]), tag=in_tag) for j in range(1, n + 1)
+        send(j, tuple(per_recipient[j - 1]), tag=in_tag) for j in range(1, n + 1)
     ]
 
     shares_by_gate: Dict[int, FieldElement] = {}
-    for message in inbox.with_tag(in_tag):
-        try:
-            entries = list(message.payload)
-        except TypeError:
+    for sender, gate_id, raw in _int_pairs(inbox, in_tag):
+        gate = circuit.gates[gate_id] if 0 <= gate_id < circuit.size else None
+        if gate is None or gate.op != INPUT or gate.owner != sender:
             continue
-        for entry in entries:
-            try:
-                gate_id, raw = entry
-            except (TypeError, ValueError):
-                continue
-            gate = circuit.gates[gate_id] if 0 <= gate_id < circuit.size else None
-            if gate is None or gate.op != INPUT or gate.owner != message.sender:
-                continue
-            shares_by_gate.setdefault(gate_id, field_.element(raw))
+        if gate_id not in shares_by_gate:
+            shares_by_gate[gate_id] = field_.element(raw)
     # Unshared inputs behave as the public constant 0 (constant zero poly).
     for _owner, _name, gate_id in circuit.input_wires():
         shares_by_gate.setdefault(gate_id, field_.zero())
@@ -151,29 +164,21 @@ def bgw_evaluate(
             _obs.metrics.inc("mpc.bgw.mul_rounds")
             _obs.metrics.inc("mpc.bgw.mul_gates", len(pending_muls))
         # Local degree-2t products, then reshare each down to degree t.
-        per_recipient = {j: [] for j in range(1, n + 1)}
+        per_recipient = [[] for _ in range(n)]
         for gate_id in pending_muls:
             gate = circuit.gates[gate_id]
             product = shares[gate.args[0]] * shares[gate.args[1]]
-            _, subshares = sharing.share(product, ctx.rng)
-            for j in range(1, n + 1):
-                per_recipient[j].append((gate_id, subshares[j].value.value))
+            _, points = sharing.deal(product.value, ctx.rng)
+            for outgoing, point in zip(per_recipient, points, strict=True):
+                outgoing.append((gate_id, point))
         inbox = yield [
-            send(j, tuple(per_recipient[j]), tag=mul_tag) for j in range(1, n + 1)
+            send(j, tuple(per_recipient[j - 1]), tag=mul_tag) for j in range(1, n + 1)
         ]
         contributions: Dict[int, Dict[int, int]] = {g: {} for g in pending_muls}
-        for message in inbox.with_tag(mul_tag):
-            try:
-                entries = list(message.payload)
-            except TypeError:
-                continue
-            for entry in entries:
-                try:
-                    gate_id, raw = entry
-                except (TypeError, ValueError):
-                    continue
-                if gate_id in contributions:
-                    contributions[gate_id].setdefault(message.sender, field_.residue(raw))
+        for sender, gate_id, raw in _int_pairs(inbox, mul_tag):
+            received = contributions.get(gate_id)
+            if received is not None and sender not in received:
+                received[sender] = raw % modulus
         for gate_id in pending_muls:
             received = contributions[gate_id]
             if len(received) < n:
@@ -188,26 +193,19 @@ def bgw_evaluate(
         (index, shares[gate_id].value) for index, gate_id in enumerate(circuit.outputs)
     )
     inbox = yield [send(j, my_output_shares, tag=out_tag) for j in range(1, n + 1)]
-    collected: Dict[int, List[Share]] = {i: [] for i in range(len(circuit.outputs))}
-    for message in inbox.with_tag(out_tag):
-        try:
-            entries = list(message.payload)
-        except TypeError:
-            continue
-        for entry in entries:
-            try:
-                index, raw = entry
-            except (TypeError, ValueError):
-                continue
-            if index in collected and not any(
-                s.x == message.sender for s in collected[index]
-            ):
-                collected[index].append(Share(message.sender, field_.element(raw)))
+    # The first share per sender and output counts, in inbox order.
+    collected: Dict[int, Dict[int, int]] = {i: {} for i in range(len(circuit.outputs))}
+    for sender, index, raw in _int_pairs(inbox, out_tag):
+        by_sender = collected.get(index)
+        if by_sender is not None and sender not in by_sender:
+            by_sender[sender] = raw
 
-    outputs: List[FieldElement] = []
-    for index in range(len(circuit.outputs)):
-        outputs.append(sharing.reconstruct(collected[index]))
-    return outputs
+    return [
+        sharing.reconstruct(
+            [Share(sender, field_.element(raw)) for sender, raw in by_sender.items()]
+        )
+        for by_sender in collected.values()
+    ]
 
 
 class BGWProtocol:

@@ -145,15 +145,22 @@ def payload_size(payload: Any) -> int:
 
     The length of the library's canonical encoding (the same bytes
     commitments and signatures hash over), computed by
-    :func:`repro.serialization.encoded_size` without building them.
-    Payloads an adversary smuggles in that the canonical encoding rejects
-    are charged their ``repr`` size so byte accounting never raises
-    mid-run.
+    :func:`repro.serialization.encoded_size` without building them, at
+    any nesting depth.  Payloads an adversary smuggles in that the
+    canonical encoding rejects (an unsupported type, a cycle) are charged
+    their ``repr`` size, and those ``repr`` cannot print either (an
+    unencodable leaf nested past the interpreter's recursion limit, a
+    raising ``__repr__``) are charged 0 bytes, so byte accounting never
+    raises mid-run.
     """
     try:
         return serialization.encoded_size(payload)
-    except TypeError:
+    except (TypeError, ValueError):
+        pass
+    try:
         return len(repr(payload).encode("utf-8"))
+    except Exception:  # byte accounting must not end a run
+        return 0
 
 
 def jsonable(value: Any) -> Any:

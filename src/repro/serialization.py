@@ -19,9 +19,14 @@ safe to hash for commitments and challenges.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 _LEN_BYTES = 8
+#: Tag and length prefix of a str, bytes, list or dict; an int adds its sign byte.
+_HEAD = 1 + _LEN_BYTES
+_INT_HEAD = _HEAD + 1
+_CLOSE = object()  # marks the end of a list's or dict's pending items
 
 
 def _encode_length(value: int) -> bytes:
@@ -70,29 +75,84 @@ def encode(value: Any) -> bytes:
 def encoded_size(value: Any) -> int:
     """``len(encode(value))``, computed without building the bytes.
 
-    Byte accounting needs only the length of every message's encoding;
-    this walks the value once and builds no bytes, except to measure
-    non-ASCII text (its UTF-8 length is taken from the encoded form).
+    Byte accounting needs only the length of every message's encoding.
+    The shapes measured on the wire are sized flat, in one loop with no
+    function call per item: an int, and a tuple or list whose items are
+    ints, ASCII strings, or tuples and lists of ints (BGW's
+    ``(gate, share)`` pairs).  An int's magnitude takes
+    ``ceil(bit_length / 8)`` bytes, and zero one.  Only an exact ``int``
+    or ``str`` counts there, so ``bool`` and ``IntEnum`` values take the
+    general path.  Every other value goes to :func:`_walked_size`, which
+    sizes any depth.
 
     Raises:
-        TypeError: on exactly the values :func:`encode` rejects.
+        TypeError: on exactly the values :func:`encode` rejects for their type.
+        ValueError: on a cyclic value (``encode`` recurses until
+            ``RecursionError``) and on text with no UTF-8 encoding.
     """
-    if value is None or value is True or value is False:
-        return 1
-    if isinstance(value, int):
-        return 2 + _LEN_BYTES + max(1, (value.bit_length() + 7) // 8)
-    if isinstance(value, str):
-        length = len(value) if value.isascii() else len(value.encode("utf-8"))
-        return 1 + _LEN_BYTES + length
-    if isinstance(value, (bytes, bytearray)):
-        return 1 + _LEN_BYTES + len(value)
-    if isinstance(value, (tuple, list)):
-        return 1 + _LEN_BYTES + sum(map(encoded_size, value))
-    if isinstance(value, dict):
-        return 1 + _LEN_BYTES + sum(
-            encoded_size(key) + encoded_size(val) for key, val in value.items()
-        )
-    raise TypeError(f"cannot canonically encode value of type {type(value).__name__}")
+    kind = type(value)
+    if kind is int:
+        return _INT_HEAD + ((value.bit_length() + 7) >> 3 or 1)
+    if kind is tuple or kind is list:
+        size = _HEAD
+        for item in value:
+            kind = type(item)
+            if kind is int:
+                size += _INT_HEAD + ((item.bit_length() + 7) >> 3 or 1)
+            elif kind is str and item.isascii():
+                size += _HEAD + len(item)
+            elif kind is tuple or kind is list:
+                size += _HEAD
+                for leaf in item:
+                    if type(leaf) is not int:
+                        return _walked_size(value)
+                    size += _INT_HEAD + ((leaf.bit_length() + 7) >> 3 or 1)
+            else:
+                return _walked_size(value)
+        return size
+    return _walked_size(value)
+
+
+def _walked_size(value: Any) -> int:
+    """``len(encode(value))`` by an explicit-stack walk: any depth, and it ends.
+
+    Only a list or dict can close a cycle (a tuple cannot contain itself),
+    so only those are tracked while their items are pending; meeting one
+    again then is a cycle, which has no finite encoding.
+    """
+    size = 0
+    pending = [value]
+    walking = set()  # ids of the lists and dicts whose items are still pending
+    while pending:
+        item = pending.pop()
+        kind = type(item)
+        if kind is int:
+            size += _INT_HEAD + ((item.bit_length() + 7) >> 3 or 1)
+        elif kind is tuple:
+            size += _HEAD
+            pending.extend(item)
+        elif item is _CLOSE:
+            walking.discard(pending.pop())
+        elif item is None or item is True or item is False:
+            size += 1
+        elif isinstance(item, int):
+            size += _INT_HEAD + ((item.bit_length() + 7) >> 3 or 1)
+        elif isinstance(item, str):
+            size += _HEAD + (len(item) if item.isascii() else len(item.encode("utf-8")))
+        elif isinstance(item, (bytes, bytearray)):
+            size += _HEAD + len(item)
+        elif isinstance(item, (tuple, list, dict)):
+            key = id(item)
+            if key in walking:
+                raise ValueError("cannot canonically encode a cyclic value")
+            walking.add(key)
+            pending.append(key)
+            pending.append(_CLOSE)
+            size += _HEAD
+            pending.extend(chain.from_iterable(item.items()) if isinstance(item, dict) else item)
+        else:
+            raise TypeError(f"cannot canonically encode value of type {type(item).__name__}")
+    return size
 
 
 def encode_many(*values: Any) -> bytes:

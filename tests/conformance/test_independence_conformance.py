@@ -39,6 +39,13 @@ INPUT_OMISSION = FaultPlan(
     rules=(FaultRule(kind="drop", rounds=[1], senders=[3], tags=["bgw:theta:in"]),),
 )
 
+#: The same shares garbled instead of dropped: BGW skips what it cannot
+#: parse, so a garbled share must read exactly as a dropped one.
+INPUT_GARBLE = FaultPlan(
+    name="input-garble",
+    rules=(FaultRule(kind="corrupt", rounds=[1], senders=[3], tags=["bgw:theta:in"]),),
+)
+
 
 def xor_factory(protocol):
     return lambda: XorAttacker(protocol, corrupted_pair=[1, 2])
@@ -95,6 +102,23 @@ class TestPiGBgwUnderDrops:
             assert announced == protocol.run(substituted, seed=seed).announced_vector()
         conformance_log(
             protocol="pi-g", plan="input-omission", check="consistent-substitution", ok=True
+        )
+
+    def test_input_garble_is_the_same_substitution(self, conformance_log):
+        protocol = PiGBroadcast(N, T, backend="bgw")
+        inputs = [1, 0, 1, 1, 0]
+        substituted = list(inputs)
+        substituted[2] = 0
+        for seed in (3, 9):
+            faulted = protocol.run(
+                inputs, seed=seed, fault_plan=INPUT_GARBLE, timeout_rounds=80
+            )
+            assert not faulted.timed_out
+            assert len(faulted.faults) == N  # one garbled share per recipient
+            announced = faulted.announced_vector()
+            assert announced == protocol.run(substituted, seed=seed).announced_vector()
+        conformance_log(
+            protocol="pi-g", plan="input-garble", check="consistent-substitution", ok=True
         )
 
     def test_xor_attack_parity_invariant_survives_drops(self):

@@ -149,7 +149,7 @@ FIELD_MODULI = (7, 11, 13, 2**61 - 1)
 
 
 class _ScriptedRng:
-    """Feeds ``Polynomial.random`` the coefficient draws a test chose."""
+    """Feeds a dealing (or ``Polynomial.random``) the coefficient draws a test chose."""
 
     def __init__(self, draws):
         self._draws = list(draws)
@@ -189,16 +189,31 @@ def _counted(fn, *args):
 @settings(max_examples=150, deadline=None)
 @given(dealing=_dealings(), data=st.data())
 def test_unboxed_field_loops_match_the_boxed_oracles(dealing, data):
-    """Shares, secrets, recombined BGW shares and ``crypto.field.mul`` totals
-    all equal the boxed loops', stripped top coefficients included."""
+    """Shares (boxed, and the residues BGW sends), secrets, recombined BGW
+    shares and ``crypto.field.mul`` totals all equal the boxed loops',
+    stripped top coefficients included."""
     p, degree, parties, secret, draws = dealing
     field = PrimeField(p)
     sharing = ShamirSharing(field, degree, parties)
+    oracle = Polynomial.random(field, degree, _ScriptedRng(draws), constant_term=secret)
+    expected, boxed = _counted(oracles.shamir_shares, oracle, parties)
+    assert [c.value for c in oracle.coefficients] == _stripped([secret, *draws[1:]])
     (polynomial, shares), fast = _counted(sharing.share, secret, _ScriptedRng(draws))
-    expected, boxed = _counted(oracles.shamir_shares, polynomial, parties)
-    assert [c.value for c in polynomial.coefficients] == _stripped([secret, *draws[1:]])
+    assert polynomial == oracle
     assert shares == expected
     assert fast == boxed
+    # The residue dealing BGW sends: the same ints, stripped the same way.
+    (coefficients, points), fast = _counted(sharing.deal, secret, _ScriptedRng(draws))
+    assert coefficients == [c.value for c in oracle.coefficients]
+    assert points == [expected[i].value.value for i in range(1, parties + 1)]
+    assert fast == boxed
+    # ...drawing from a real generator exactly as often as Polynomial.random.
+    seed = data.draw(st.integers(min_value=0, max_value=2**64))
+    dealer, reference = random.Random(seed), random.Random(seed)
+    coefficients, _ = sharing.deal(secret, dealer)
+    oracle = Polynomial.random(field, degree, reference, constant_term=secret)
+    assert coefficients == [c.value for c in oracle.coefficients]
+    assert dealer.getstate() == reference.getstate()
 
     order = data.draw(st.permutations(list(shares.values())))
     recovered, fast = _counted(sharing.reconstruct, order)

@@ -149,3 +149,67 @@ class TestBGWFaults:
             protocol, [{"v": 5}, {"v": 7}, {}], adversary=DoubleSender(), seed=4
         )
         assert execution.outputs[1] == execution.outputs[2]
+
+
+class OneMalformedEntry(Adversary):
+    """Sends one ``(key, share)`` entry of the wrong type in one round, else silence."""
+
+    def __init__(self, party, round_number, tag, entry):
+        super().__init__(corrupted=[party])
+        self.party = party
+        self.round_number = round_number
+        self.tag = tag
+        self.entry = entry
+
+    def act(self, round_number, rushed):
+        if round_number != self.round_number:
+            return {self.party: []}
+        return {self.party: [send(j, (self.entry,), tag=self.tag) for j in (1, 2, 3)]}
+
+
+def add_circuit():
+    circuit = Circuit(F)
+    x1 = circuit.input(1, "v")
+    x2 = circuit.input(2, "v")
+    circuit.mark_output(circuit.add(x1, x2))
+    return circuit
+
+
+class TestMalformedEntriesSkipped:
+    """An entry whose gate id, output index or share is not an ``int`` is
+    skipped, never raised on by an honest party."""
+
+    @pytest.mark.parametrize("entry", [(1, "x"), ("1", 5), ([1], 5), (1, 2.5)])
+    def test_input_round_entry_reads_as_an_unshared_input(self, entry):
+        # Party 2 owns gate 1; its one malformed entry leaves the wire at 0.
+        adversary = OneMalformedEntry(2, 1, "bgw:bgw:in", entry)
+        execution = run_protocol(
+            BGWProtocol(add_circuit(), n=3, t=1),
+            [{"v": 5}, {"v": 7}, {}],
+            adversary=adversary,
+            seed=2,
+        )
+        assert execution.outputs[1] == execution.outputs[3] == (5,)
+
+    @pytest.mark.parametrize("entry", [(0, "x"), ([0], 5)])
+    def test_output_round_entry_is_not_a_share(self, entry):
+        # Party 3 owns no input; the honest two reconstruct without it.
+        adversary = OneMalformedEntry(3, 2, "bgw:bgw:out", entry)
+        execution = run_protocol(
+            BGWProtocol(add_circuit(), n=3, t=1),
+            [{"v": 5}, {"v": 7}, {}],
+            adversary=adversary,
+            seed=4,
+        )
+        assert execution.outputs[1] == execution.outputs[2] == (12,)
+
+    def test_mul_round_entry_is_a_missing_contribution(self):
+        # Round 2 is the degree reduction of gate 2 = x1 * x2.
+        adversary = OneMalformedEntry(3, 2, "bgw:bgw:mul", (2, "x"))
+        with pytest.raises(ShareError, match=r"missing contributions from \[3\]"):
+            run_protocol(
+                BGWProtocol(mul_circuit(), n=3, t=1),
+                [{"v": 3}, {"v": 4}, {}],
+                adversary=adversary,
+                seed=1,
+            )

@@ -1,6 +1,7 @@
 """Tests for the round engine: delivery, rushing, termination, transcripts."""
 
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,8 @@ from repro.net.adversary import Adversary, PassiveAdversary, ProgramAdversary
 from repro.net.message import Draft, Message, broadcast, send
 from repro.net.network import run_protocol
 from repro.obs import Metrics, Tracer, payload_size, runtime as obs_runtime
+from repro.protocols import SequentialBroadcast
+from repro.serialization import encode
 
 from . import net_oracles
 
@@ -358,6 +361,30 @@ class TestInstrumentation:
         _, first = self._observed_run(EchoProtocol(3), [1, 0, 1], seed=7)
         _, second = self._observed_run(EchoProtocol(3), [1, 0, 1], seed=7)
         assert first.counters == second.counters
+
+    def test_deep_payload_is_metered_without_changing_the_run(self):
+        """A corrupted party's payload nested past the recursion limit is
+        sized exactly, and metering leaves the run's outcome alone."""
+        depth = 5 * sys.getrecursionlimit()
+        deep = 1
+        for _ in range(depth):
+            deep = (deep,)
+
+        class DeepSender(Adversary):
+            def act(self, round_number, rushed):
+                return {2: [broadcast(deep)]}
+
+        protocol = SequentialBroadcast(4, 1)
+        inputs = [1, 0, 1, 1]
+        plain = protocol.run(inputs, adversary=DeepSender(corrupted=[2]), seed=5)
+        with obs_runtime.observed(metrics=Metrics()) as (_, metrics):
+            metered = protocol.run(inputs, adversary=DeepSender(corrupted=[2]), seed=5)
+        assert metered.announced_vector() == plain.announced_vector()
+        sent = [m for m in metered.all_messages() if m.payload is deep]
+        assert sent and payload_size(deep) == 9 * depth + len(encode(1))
+        assert metrics.get("net.bytes.sent") == sum(
+            payload_size(m.payload) for m in metered.all_messages()
+        )
 
     def test_round_accounting_matches_the_per_message_oracle(self):
         """One mixed round: honest broadcasts and point-to-point messages plus

@@ -96,6 +96,15 @@ class TestPayloadSize:
             pass
 
         assert payload_size(Weird()) > 0
+        lone_surrogate = ("\ud800", 1)  # text with no UTF-8 encoding
+        assert payload_size(lone_surrogate) == len(repr(lone_surrogate))
+
+    def test_payload_neither_encoding_nor_repr_can_size_costs_nothing(self):
+        class Unprintable:
+            def __repr__(self):
+                raise RuntimeError("no repr")
+
+        assert payload_size((1, Unprintable())) == 0
 
 
 class TestJsonable:

@@ -1,10 +1,14 @@
 """Tests for the canonical byte encoding."""
 
+import enum
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import serialization
+from repro.obs import payload_size
 from repro.serialization import encode, encode_many, encoded_size
 
 
@@ -43,6 +47,39 @@ wide_values = st.recursive(
     ),
     max_leaves=20,
 )
+
+#: BGW's wire shape: tuples and lists of ``(gate, share)`` int pairs, with
+#: residues past 2**64 (the flat path's widest ints).
+residues = st.integers(min_value=0, max_value=2**80)
+share_pairs = st.one_of(st.tuples(residues, residues), st.lists(residues, min_size=2, max_size=2))
+bgw_payloads = st.one_of(
+    st.lists(share_pairs, max_size=8).map(tuple), st.lists(share_pairs, max_size=8)
+)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+#: Values that are ints to ``isinstance`` but not to ``type(x) is int``,
+#: in the int positions of the flat path's shapes.
+int_likes = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70), st.booleans(), st.sampled_from(Level)
+)
+int_like_payloads = st.one_of(
+    int_likes,
+    st.lists(int_likes, max_size=6).map(tuple),
+    st.lists(st.tuples(int_likes, int_likes), max_size=6),
+)
+
+
+def nested(depth, leaf):
+    """``leaf`` wrapped in ``depth`` one-item tuples."""
+    value = leaf
+    for _ in range(depth):
+        value = (value,)
+    return value
 
 
 class TestEncodeBasics:
@@ -132,3 +169,55 @@ class TestEncodedSize:
             encode(value)
         with pytest.raises(TypeError):
             encoded_size(value)
+
+    @given(bgw_payloads)
+    def test_bgw_share_payloads(self, value):
+        assert encoded_size(value) == len(encode(value))
+
+    @given(int_like_payloads)
+    def test_bool_and_intenum_take_the_general_path(self, value):
+        assert encoded_size(value) == len(encode(value))
+
+    @pytest.mark.parametrize(
+        "value",
+        [((1, 2.5),), [(1, 2), [3, object()]], ((0, 1), (2**70, None, 1.5)), [(1, {2})]],
+    )
+    def test_unencodable_leaf_in_a_pair_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            encode(value)
+        with pytest.raises(TypeError):
+            encoded_size(value)
+
+    def test_any_depth_is_sized_exactly(self):
+        """``encode`` recurses; the size walks an explicit stack."""
+        depth = 5 * sys.getrecursionlimit()
+        assert encoded_size(nested(depth, "leaf")) == depth * 9 + len(encode("leaf"))
+        mapping = {}
+        for _ in range(depth):
+            mapping = {"k": [mapping]}
+        level = len(encode({"k": [{}]})) - len(encode({}))
+        assert encoded_size(mapping) == depth * level + len(encode({}))
+
+    def test_deep_unencodable_value_raises_type_error(self):
+        # Deep enough that repr's own recursion guard trips on any interpreter.
+        value = nested(100_000, 0.5)
+        with pytest.raises(TypeError):
+            encoded_size(value)
+        with pytest.raises(RecursionError):
+            repr(value)
+        assert payload_size(value) == 0
+
+    def test_shared_substructure_is_not_a_cycle(self):
+        leaf = [1, "a", b"b"]
+        value = [leaf, (leaf, {"k": leaf})]
+        assert encoded_size(value) == len(encode(value))
+
+    def test_cyclic_value_raises_value_error(self):
+        loop = []
+        loop.append(loop)
+        ring = {"next": None}
+        ring["next"] = (1, [ring])
+        for value in (loop, ring, (0, [loop])):
+            with pytest.raises(ValueError, match="cyclic"):
+                encoded_size(value)
+            assert payload_size(value) == len(repr(value))
