@@ -6,7 +6,7 @@
 * ``campaign [validate|exec|shrink]`` — seeded, resumable scenario fuzzing
   over the protocol zoo with minimal-repro shrinking (:mod:`repro.scenario`);
 * ``analyze [PATH ...]`` — the determinism & protocol-discipline static
-  analyzer (:mod:`repro.analysis`); exits 1 on a finding outside the baseline;
+  analyzer (:mod:`repro.analysis`); exits 1 on any finding;
 * ``diffjson DIR DIR`` — compare two ``--json`` artifact directories,
   ignoring wall-clock fields; exits 1 on any other difference.  The
   regression surface is ``diffjson results/golden DIR``: the committed
@@ -30,14 +30,7 @@ from typing import Any, Callable, List, Optional
 
 from . import fastpath
 from .analysis.engine import analyze_files, iter_python_files
-from .analysis.report import DEFAULT_BASELINE_PATH as ANALYSIS_BASELINE_PATH
-from .analysis.report import (
-    DEFAULT_REPORT_PATH,
-    build_report,
-    load_baseline,
-    write_baseline,
-    write_report,
-)
+from .analysis.report import DEFAULT_REPORT_PATH, AnalysisReport, write_report
 from .analysis.rules import ALL_RULES, resolve_rules, rule_catalog
 from .errors import ScenarioError
 from .experiments.common import ExperimentConfig, ExperimentResult, standard_protocols
@@ -251,7 +244,7 @@ def run_shrink(args: argparse.Namespace) -> int:
 
 
 def run_analyze(args: argparse.Namespace) -> int:
-    """Determinism & protocol-discipline static analyzer; gates on non-baselined findings."""
+    """Determinism & protocol-discipline static analyzer; every finding gates."""
     if args.list_rules:
         width = max(len(rule.id) for rule in ALL_RULES)
         for entry in rule_catalog():
@@ -276,20 +269,14 @@ def run_analyze(args: argparse.Namespace) -> int:
     if not files:
         args.error(f"no python files under: {', '.join(targets)}")
     findings, scanned = analyze_files(files, rules, root=root)
-
-    if args.update_baseline:
-        write_baseline(findings, args.baseline)
-        print(f"baseline updated: {len(findings)} finding(s) -> {args.baseline}")
-        return 0
-    baseline = None if args.no_baseline else load_baseline(args.baseline)
-    report = build_report(findings, scanned, baseline)
+    report = AnalysisReport(findings=findings, files_scanned=scanned)
     if args.out != "-":
         write_report(report, args.out)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.render_text())
-    return 1 if report.findings or report.stale_baseline_keys else 0
+    return 1 if report.findings else 0
 
 
 def run_diffjson(args: argparse.Namespace) -> int:
@@ -412,11 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("paths", nargs="*", help="default: the installed repro package")
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--rules", metavar="IDS", default="", help="comma-separated rule ids")
-    analyze.add_argument("--baseline", metavar="PATH", default=ANALYSIS_BASELINE_PATH)
-    analyze.add_argument("--no-baseline", action="store_true", help="every finding gates")
-    analyze.add_argument(
-        "--update-baseline", action="store_true", help="baseline the current findings, exit 0"
-    )
     analyze.add_argument(
         "--out", metavar="PATH", default=DEFAULT_REPORT_PATH, help="JSON report; '-' disables"
     )

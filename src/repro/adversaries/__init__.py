@@ -1,7 +1,7 @@
 """Adversary library: the attacks the paper's arguments are built around."""
 
 from ..net.adversary import Adversary, PassiveAdversary, ProgramAdversary
-from .biaser import InputFlipper, InputSubstitution
+from .biaser import InputSubstitution
 from .copier import CommitEchoAdversary, RushedBroadcastCopier, SequentialCopier
 from .xor_attacker import XorAttacker
 
@@ -9,7 +9,6 @@ __all__ = [
     "Adversary",
     "PassiveAdversary",
     "ProgramAdversary",
-    "InputFlipper",
     "InputSubstitution",
     "SequentialCopier",
     "CommitEchoAdversary",

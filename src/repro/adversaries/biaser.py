@@ -43,16 +43,3 @@ class InputSubstitution(ProgramAdversary):
                 overrides[i] = self._substitution
         self._inputs_override = overrides
         super().setup(n, config, corrupted_inputs, rng, session)
-
-
-class InputFlipper(InputSubstitution):
-    """Corrupted parties announce the complement of their real input."""
-
-    def __init__(self, protocol, corrupted: Iterable[int]):
-        super().__init__(
-            protocol,
-            corrupted,
-            substitution=lambda _party, original: 1 - original
-            if original in (0, 1)
-            else 1,
-        )

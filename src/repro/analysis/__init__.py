@@ -4,7 +4,6 @@ from .stats import (
     DEFAULT_CONFIDENCE,
     DEFAULT_TAU_HIGH,
     DEFAULT_TAU_LOW,
-    BernoulliEstimate,
     Decision,
     decide,
     empirical_tv,
@@ -17,7 +16,6 @@ __all__ = [
     "DEFAULT_CONFIDENCE",
     "DEFAULT_TAU_HIGH",
     "DEFAULT_TAU_LOW",
-    "BernoulliEstimate",
     "Decision",
     "decide",
     "empirical_tv",

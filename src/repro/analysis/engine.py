@@ -8,7 +8,7 @@ order leaking into transcripts) that CI replay jobs only catch
 *dynamically*, late, and with poor shrinking.  This engine makes the
 discipline a static property: each :class:`Rule` inspects one parsed
 module and yields :class:`Finding` objects; ``python -m repro analyze``
-(:mod:`repro.__main__`) gates CI on zero non-baselined findings.
+(:mod:`repro.__main__`) gates CI on zero findings.
 
 Escape hatches, in order of preference:
 
@@ -16,10 +16,7 @@ Escape hatches, in order of preference:
   deployment-settings environment reads) are enumerated per rule in
   :mod:`repro.analysis.rules` with a documented justification;
 * **inline suppressions** — ``# repro: allow[RULE001]`` on the flagged
-  line silences that rule there (comma-separate to allow several);
-* **the baseline file** — grandfathered findings recorded by
-  ``repro analyze --update-baseline`` (see :mod:`repro.analysis.report`);
-  the ratchet direction is shrink-only.
+  line silences that rule there (comma-separate to allow several).
 """
 
 from __future__ import annotations
@@ -50,11 +47,6 @@ class Finding:
     col: int
     message: str
 
-    def key(self) -> str:
-        """Baseline identity: line-insensitive so unrelated edits above a
-        grandfathered finding do not invalidate the baseline entry."""
-        return f"{self.path}::{self.rule}::{self.message}"
-
     def to_json(self) -> Dict[str, object]:
         return {
             "rule": self.rule,
@@ -63,7 +55,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "key": self.key(),
         }
 
     def render(self) -> str:

@@ -1,14 +1,10 @@
-"""Analysis reports and the grandfathered-findings baseline.
+"""Analysis reports.
 
 The JSON report (``results/ANALYSIS.json``) is itself an artifact and so
 obeys the discipline it polices: no timestamps, no environment detail —
-two runs over the same tree produce byte-identical reports.
-
-The baseline file stores finding *keys* (path::rule::message, no line
-numbers) with multiplicities, so grandfathered findings survive unrelated
-edits above them but a **new** instance of an old offence still gates.
-The ratchet direction is shrink-only: ``--update-baseline`` is for
-removing entries as they are fixed (CI pins the checked-in copy).
+two runs over the same tree produce byte-identical reports.  Every
+finding gates; a designed exception is an allowlist entry or an inline
+suppression (:mod:`repro.analysis.rules`).
 """
 
 from __future__ import annotations
@@ -17,17 +13,15 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from .engine import Finding
 from .rules import rule_catalog
 
-BASELINE_VERSION = 1
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
-#: Where the checked-in grandfather list and the emitted report live,
-#: relative to the invocation directory (the repo root in CI).
-DEFAULT_BASELINE_PATH = os.path.join("results", "ANALYSIS_baseline.json")
+#: Where the emitted report lives, relative to the invocation directory
+#: (the repo root in CI).
 DEFAULT_REPORT_PATH = os.path.join("results", "ANALYSIS.json")
 
 
@@ -36,14 +30,7 @@ class AnalysisReport:
     """The outcome of one analyzer run, ready to render or serialize."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    stale_baseline_keys: List[str] = field(default_factory=list)
-
-    @property
-    def gating(self) -> List[Finding]:
-        """The findings that fail the gate (i.e., not grandfathered)."""
-        return self.findings
 
     def counts_by_rule(self) -> Dict[str, int]:
         counts: Counter[str] = Counter(f.rule for f in self.findings)
@@ -56,101 +43,18 @@ class AnalysisReport:
             "rules": rule_catalog(),
             "summary": {
                 "gating": len(self.findings),
-                "baselined": len(self.baselined),
                 "by_rule": self.counts_by_rule(),
-                "stale_baseline_keys": sorted(self.stale_baseline_keys),
             },
             "findings": [f.to_json() for f in self.findings],
-            "baselined": [f.to_json() for f in self.baselined],
         }
 
     def render_text(self) -> str:
-        lines: List[str] = []
-        for finding in self.findings:
-            lines.append(finding.render())
-        summary = (
+        lines = [finding.render() for finding in self.findings]
+        lines.append(
             f"{len(self.findings)} gating finding(s), "
-            f"{len(self.baselined)} baselined, "
             f"{self.files_scanned} file(s) scanned"
         )
-        if self.stale_baseline_keys:
-            summary += f", {len(self.stale_baseline_keys)} stale baseline entrie(s)"
-        lines.append(summary)
         return "\n".join(lines)
-
-
-def load_baseline(path: str) -> Counter:
-    """The grandfathered finding keys with multiplicities; {} if absent."""
-    if not os.path.exists(path):
-        return Counter()
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    entries = payload.get("entries", {})
-    counter: Counter = Counter()
-    for key, count in entries.items():
-        counter[str(key)] = int(count)
-    return counter
-
-
-def write_baseline(findings: Sequence[Finding], path: str) -> None:
-    """Record the given findings as the new grandfather list."""
-    entries: Counter = Counter(f.key() for f in findings)
-    payload = {
-        "version": BASELINE_VERSION,
-        "policy": (
-            "shrink-only: entries are removed as findings are fixed; new"
-            " findings must be fixed or suppressed inline, never added here"
-        ),
-        "entries": {key: entries[key] for key in sorted(entries)},
-    }
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Counter
-) -> Tuple[List[Finding], List[Finding], List[str]]:
-    """Split findings into (gating, baselined) and report stale keys.
-
-    Each baseline entry absorbs up to its recorded multiplicity of
-    matching findings; the (count+1)-th occurrence gates.  Keys left with
-    budget after the sweep are *stale* — the finding was fixed and the
-    entry should be deleted (the shrink ratchet).
-    """
-    remaining = Counter(baseline)
-    gating: List[Finding] = []
-    baselined: List[Finding] = []
-    for finding in findings:
-        key = finding.key()
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            baselined.append(finding)
-        else:
-            gating.append(finding)
-    stale = sorted(key for key, count in remaining.items() if count > 0)
-    return gating, baselined, stale
-
-
-def build_report(
-    findings: Sequence[Finding],
-    files_scanned: int,
-    baseline: Optional[Counter] = None,
-) -> AnalysisReport:
-    ordered = list(findings)
-    if baseline:
-        gating, baselined, stale = apply_baseline(ordered, baseline)
-    else:
-        gating, baselined, stale = ordered, [], []
-    return AnalysisReport(
-        findings=gating,
-        baselined=baselined,
-        files_scanned=files_scanned,
-        stale_baseline_keys=stale,
-    )
 
 
 def write_report(report: AnalysisReport, path: str) -> None:

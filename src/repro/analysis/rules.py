@@ -4,7 +4,7 @@ Each rule encodes one invariant the reproduction's replay gates depend
 on.  Module allowlists below are the *designed seams* — every entry
 carries the justification that an auditor needs; anything else goes
 through an inline ``# repro: allow[...]`` (spot exemption, justified in
-a comment at the site) or the shrink-only baseline file.
+a comment at the site).
 """
 
 from __future__ import annotations

@@ -11,9 +11,7 @@ sampling noise, so the two thresholds never squeeze a real effect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from ..errors import ExperimentError
 
@@ -51,31 +49,6 @@ def selection_halfwidth(
         raise ExperimentError("comparisons must be positive")
     confidence = 1.0 - family_error / comparisons
     return hoeffding_halfwidth(samples, confidence)
-
-
-@dataclass(frozen=True)
-class BernoulliEstimate:
-    """An estimated probability with its sample count and half-width."""
-
-    successes: int
-    samples: int
-    confidence: float = DEFAULT_CONFIDENCE
-
-    @property
-    def estimate(self) -> float:
-        return self.successes / self.samples
-
-    @property
-    def halfwidth(self) -> float:
-        return hoeffding_halfwidth(self.samples, self.confidence)
-
-    @property
-    def lower(self) -> float:
-        return max(0.0, self.estimate - self.halfwidth)
-
-    @property
-    def upper(self) -> float:
-        return min(1.0, self.estimate + self.halfwidth)
 
 
 class Decision(Enum):

@@ -27,13 +27,7 @@ from .predicates import (
     projection_predicate,
     threshold_predicate,
 )
-from .relations import (
-    DEFINITIONS,
-    GridCell,
-    MeasurementBudget,
-    definition_grid,
-    measure,
-)
+from .relations import DEFINITIONS, MeasurementBudget, measure
 from .sb import sb_report
 from .simulators import (
     HonestInputSimulator,
@@ -72,9 +66,7 @@ __all__ = [
     "equality_predicate",
     "threshold_predicate",
     "DEFINITIONS",
-    "GridCell",
     "MeasurementBudget",
-    "definition_grid",
     "measure",
     "IndependenceReport",
 ]

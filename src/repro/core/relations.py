@@ -1,18 +1,16 @@
 """The comparison engine: evaluate any definition on any (Π, A, D) triple.
 
 This is the measurement layer behind Figure 1: a uniform interface that
-runs the right estimator for each definition, quantifies over a suite of
-adversaries (taking the worst report, since every definition is ∀A), and
-assembles protocol × definition grids.
+runs the right estimator for each definition and quantifies over a suite
+of adversaries (taking the worst report, since every definition is ∀A).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from ..analysis.stats import Decision
 from ..distributions.base import Distribution
 from ..errors import ExperimentError
 from .announced import HONEST, AdversaryFactory
@@ -115,50 +113,3 @@ def measure(
             worst = report
     assert worst is not None
     return worst
-
-
-@dataclass
-class GridCell:
-    protocol_name: str
-    definition: str
-    distribution_name: str
-    report: IndependenceReport
-
-    @property
-    def decision(self) -> Decision:
-        return self.report.decision
-
-
-def definition_grid(
-    protocols: Sequence,
-    definitions: Sequence[str],
-    distributions: Sequence[Distribution],
-    adversary_suites: Mapping[str, Mapping[str, AdversaryFactory]],
-    rng: random.Random,
-    budget: Optional[MeasurementBudget] = None,
-) -> List[GridCell]:
-    """Evaluate every (protocol, definition, distribution) cell.
-
-    ``adversary_suites`` maps a protocol's ``name`` to its adversary suite
-    (protocol-specific attacks need the protocol instance, so suites are
-    built by the caller).
-    """
-    if budget is None:
-        budget = MeasurementBudget()
-    cells: List[GridCell] = []
-    for protocol in protocols:
-        suite = adversary_suites.get(protocol.name, {"honest": HONEST})
-        for distribution in distributions:
-            for definition in definitions:
-                report = measure(
-                    definition, protocol, distribution, suite, rng, budget
-                )
-                cells.append(
-                    GridCell(
-                        protocol_name=protocol.name,
-                        definition=definition,
-                        distribution_name=distribution.name,
-                        report=report,
-                    )
-                )
-    return cells

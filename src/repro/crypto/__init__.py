@@ -5,31 +5,13 @@ integers.  Parameters are deterministic per security level ``k`` so runs
 are reproducible; see :mod:`repro.crypto.group`.
 """
 
-from .commitment import (
-    HashCommitment,
-    Opening,
-    PedersenCommitment,
-    PedersenParameters,
-    TrapdoorCommitment,
-)
+from .commitment import Opening, PedersenCommitment, PedersenParameters, TrapdoorCommitment
 from .field import FieldElement, PrimeField, is_probable_prime, next_prime
 from .group import GroupElement, SchnorrGroup, safe_prime_parameters
-from .polynomial import (
-    Polynomial,
-    lagrange_coefficients_at_zero,
-    lagrange_interpolate,
-)
-from .prg import PRF, PRG, random_oracle, random_oracle_int
+from .polynomial import Polynomial, lagrange_coefficients_at_zero
+from .prg import random_oracle, random_oracle_int
 from .secret_sharing import ShamirSharing, Share
-from .sigma import (
-    OpeningProof,
-    SchnorrProof,
-    check_opening,
-    prove_discrete_log,
-    prove_opening,
-    verify_discrete_log,
-    verify_opening,
-)
+from .sigma import OpeningProof, prove_opening, verify_opening
 from .signatures import KeyDirectory, KeyPair, Signature, sign, verify
 from .vss import FeldmanDealing, FeldmanVSS, PedersenDealing, PedersenShare, PedersenVSS
 
@@ -43,12 +25,8 @@ __all__ = [
     "safe_prime_parameters",
     "Polynomial",
     "lagrange_coefficients_at_zero",
-    "lagrange_interpolate",
-    "PRG",
-    "PRF",
     "random_oracle",
     "random_oracle_int",
-    "HashCommitment",
     "Opening",
     "PedersenCommitment",
     "PedersenParameters",
@@ -60,13 +38,9 @@ __all__ = [
     "Signature",
     "sign",
     "verify",
-    "SchnorrProof",
     "OpeningProof",
-    "prove_discrete_log",
-    "verify_discrete_log",
     "prove_opening",
     "verify_opening",
-    "check_opening",
     "FeldmanVSS",
     "FeldmanDealing",
     "PedersenVSS",

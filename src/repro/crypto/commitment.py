@@ -1,10 +1,8 @@
-"""Commitment schemes: hash-based, Pedersen, and trapdoor (equivocable).
+"""Commitment schemes: Pedersen and trapdoor (equivocable).
 
-Three schemes with one interface, because the simultaneous-broadcast
+Two schemes with one interface, because the simultaneous-broadcast
 protocols differ in which flavour they need:
 
-* :class:`HashCommitment` — computationally hiding and binding in the
-  random-oracle model; what the Chor--Rabin-style protocol uses.
 * :class:`PedersenCommitment` — perfectly hiding, computationally binding
   under discrete log; used by Pedersen VSS.
 * :class:`TrapdoorCommitment` — a Pedersen commitment whose setup exposes
@@ -24,9 +22,6 @@ from .. import fastpath
 from ..errors import CommitmentError, InvalidParameterError
 from ..obs import runtime as _obs
 from .group import GroupElement, SchnorrGroup
-from .prg import random_oracle
-
-NONCE_BYTES = 32
 
 #: Minimum batch size before the RLC batch-verification path kicks in.
 BATCH_MIN_OPENINGS = 3
@@ -38,28 +33,6 @@ class Opening:
 
     value: Any
     randomness: Any
-
-
-class HashCommitment:
-    """Random-oracle commitment: C = H(tag, value, nonce)."""
-
-    def __init__(self, tag: str = "hash-commit"):
-        self.tag = tag
-
-    def commit(self, value: Any, rng) -> Tuple[bytes, Opening]:
-        nonce = bytes(rng.getrandbits(8) for _ in range(NONCE_BYTES))
-        commitment = random_oracle(self.tag, value, nonce)
-        return commitment, Opening(value, nonce)
-
-    def verify(self, commitment: bytes, opening: Opening) -> bool:
-        expected = random_oracle(self.tag, opening.value, opening.randomness)
-        return expected == commitment
-
-    def check(self, commitment: bytes, opening: Opening) -> Any:
-        """Verify and return the committed value, raising on mismatch."""
-        if not self.verify(commitment, opening):
-            raise CommitmentError("hash commitment failed to verify")
-        return opening.value
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ protocol, so protocol code reads like the maths in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from ..errors import InvalidParameterError
 from ..obs import runtime as _obs
@@ -110,14 +110,6 @@ class PrimeField:
     def random(self, rng) -> "FieldElement":
         """Sample a uniform element using ``rng`` (a ``random.Random``)."""
         return FieldElement(self, rng.randrange(self.modulus))
-
-    def random_nonzero(self, rng) -> "FieldElement":
-        return FieldElement(self, rng.randrange(1, self.modulus))
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """Iterate over all field elements (only sensible for small fields)."""
-        for value in range(self.modulus):
-            yield FieldElement(self, value)
 
     # -- identity --------------------------------------------------------------
 

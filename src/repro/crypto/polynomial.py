@@ -1,4 +1,4 @@
-"""Polynomials over GF(p) with Lagrange interpolation.
+"""Polynomials over GF(p) and Lagrange coefficients at zero.
 
 These are the backbone of Shamir secret sharing, Feldman/Pedersen VSS and
 the BGW degree-reduction step.  Polynomials are immutable, represented by
@@ -72,9 +72,6 @@ class Polynomial:
             result = result * x + coefficient
         return result
 
-    def evaluate_many(self, points: Sequence[IntoElement]) -> Tuple[FieldElement, ...]:
-        return tuple(self(point) for point in points)
-
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -128,32 +125,6 @@ class Polynomial:
             for i, c in enumerate(self.coefficients)
         )
         return f"Polynomial({terms} over GF({self.field.modulus}))"
-
-
-def lagrange_interpolate(
-    field: PrimeField,
-    points: Sequence[Tuple[IntoElement, IntoElement]],
-) -> Polynomial:
-    """Return the unique polynomial of degree < len(points) through ``points``.
-
-    Raises:
-        ShareError: if two points share an x-coordinate.
-    """
-    xs = [field.element(x) for x, _ in points]
-    ys = [field.element(y) for _, y in points]
-    if len({x.value for x in xs}) != len(xs):
-        raise ShareError("duplicate x-coordinates in interpolation points")
-    result = Polynomial.zero(field)
-    for i, (xi, yi) in enumerate(zip(xs, ys, strict=True)):
-        basis = Polynomial.constant(field, 1)
-        denominator = field.one()
-        for j, xj in enumerate(xs):
-            if i == j:
-                continue
-            basis = basis * Polynomial(field, [-xj.value, 1])
-            denominator = denominator * (xi - xj)
-        result = result + basis * (yi / denominator)
-    return result
 
 
 def lagrange_coefficients_at_zero(

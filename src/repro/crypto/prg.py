@@ -1,8 +1,8 @@
-"""Hash-based PRG, PRF and random oracle.
+"""Hash-based random oracle.
 
 All symmetric-style randomness in the library flows through these helpers,
-which are deterministic functions of their seeds/keys.  They are built on
-SHA-256 in counter mode — simulation-grade constructions that keep the
+which are deterministic functions of their inputs.  They are built on
+SHA-256 in counter mode — a simulation-grade construction that keeps the
 whole system reproducible.
 """
 
@@ -44,51 +44,3 @@ def random_oracle_int(*values: Any, modulus: int) -> int:
         raise InvalidParameterError("modulus must be positive")
     width = (modulus.bit_length() + 7) // 8 + 8
     return int.from_bytes(random_oracle(*values, length=width), "big") % modulus
-
-
-class PRG:
-    """A deterministic pseudo-random generator expanding a byte seed."""
-
-    def __init__(self, seed: bytes):
-        self._seed = bytes(seed)
-        self._counter = 0
-        self._buffer = bytearray()
-
-    def next_bytes(self, count: int) -> bytes:
-        if count < 0:
-            raise InvalidParameterError("count must be non-negative")
-        if _obs.metrics is not None:
-            _obs.metrics.inc("crypto.prg.calls")
-        while len(self._buffer) < count:
-            block = hashlib.sha256(
-                b"simbcast-prg:" + self._counter.to_bytes(8, "big") + self._seed
-            ).digest()
-            self._buffer.extend(block)
-            self._counter += 1
-            if _obs.metrics is not None:
-                _obs.metrics.inc("crypto.hash.blocks")
-        output = bytes(self._buffer[:count])
-        del self._buffer[:count]
-        return output
-
-    def next_int(self, modulus: int) -> int:
-        if modulus <= 0:
-            raise InvalidParameterError("modulus must be positive")
-        width = (modulus.bit_length() + 7) // 8 + 8
-        return int.from_bytes(self.next_bytes(width), "big") % modulus
-
-    def next_bit(self) -> int:
-        return self.next_bytes(1)[0] & 1
-
-
-class PRF:
-    """A keyed pseudo-random function F_k(x) built from the random oracle."""
-
-    def __init__(self, key: bytes):
-        self._key = bytes(key)
-
-    def evaluate(self, *inputs: Any, length: int = 32) -> bytes:
-        return random_oracle("prf", self._key, tuple(inputs), length=length)
-
-    def evaluate_int(self, *inputs: Any, modulus: int) -> int:
-        return random_oracle_int("prf", self._key, tuple(inputs), modulus=modulus)

@@ -9,7 +9,7 @@ secret itself).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .. import fastpath
 from ..errors import InvalidParameterError, ShareError
@@ -97,34 +97,3 @@ class ShamirSharing:
         if _obs.metrics is not None:
             _obs.metrics.inc("crypto.field.mul", len(subset))
         return FieldElement(field, total % field.modulus)
-
-    def reconstruct_with_errors(self, shares: Sequence[Share]) -> FieldElement:
-        """Reconstruct while checking global consistency of all shares.
-
-        All supplied shares must lie on a single degree-<=threshold
-        polynomial; otherwise a :class:`ShareError` is raised.  (This is the
-        error-detection — not correction — mode used by protocols that have
-        already filtered shares through commitments.)
-        """
-        from .polynomial import lagrange_interpolate
-
-        if len(shares) < self.threshold + 1:
-            raise ShareError("not enough shares")
-        polynomial = lagrange_interpolate(
-            self.field, [(s.x, s.value) for s in shares[: self.threshold + 1]]
-        )
-        for share in shares:
-            if polynomial(share.x) != share.value:
-                raise ShareError(f"share at x={share.x} is inconsistent")
-        if polynomial.degree > self.threshold:
-            raise ShareError("shares define a polynomial of excessive degree")
-        return polynomial(0)
-
-    def add_shares(self, left: Share, right: Share) -> Share:
-        """Locally add two shares of different secrets (linear homomorphism)."""
-        if left.x != right.x:
-            raise ShareError("cannot add shares at different evaluation points")
-        return Share(left.x, left.value + right.value)
-
-    def scale_share(self, share: Share, scalar: IntoElement) -> Share:
-        return Share(share.x, share.value * self.field.element(scalar))

@@ -1,14 +1,11 @@
-"""Sigma protocols and Fiat--Shamir non-interactive proofs of knowledge.
+"""A Fiat--Shamir proof of knowledge of a Pedersen commitment opening.
 
-The Chor--Rabin-style protocol has parties prove *knowledge* of their
+The Gennaro-style protocol has parties prove *knowledge* of their
 committed values before anything is revealed; that is what rules out the
 copy-attack (a copier cannot prove knowledge of a value it only saw a
-commitment to).  We implement:
-
-* the Schnorr proof of knowledge of a discrete log (interactive 3-move
-  messages plus a Fiat--Shamir compiler), and
-* a proof of knowledge of a Pedersen commitment opening (Okamoto-style
-  two-base Schnorr).
+commitment to).  The proof is the Okamoto-style two-base Schnorr sigma
+protocol, made non-interactive by deriving its challenge from the random
+oracle over a context (session, committer) that the verifier re-binds.
 """
 
 from __future__ import annotations
@@ -16,47 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import ProofError
 from .commitment import PedersenParameters
 from .group import GroupElement, SchnorrGroup
 from .prg import random_oracle_int
-
-
-@dataclass(frozen=True)
-class SchnorrProof:
-    """Non-interactive proof of knowledge of x with y = g^x."""
-
-    commitment: GroupElement
-    response: int
-
-
-def prove_discrete_log(
-    group: SchnorrGroup, secret: int, rng, context: Any = ""
-) -> SchnorrProof:
-    """Prove knowledge of ``secret`` for the statement y = g^secret.
-
-    ``context`` is bound into the challenge (session id, party id, ...) to
-    prevent cross-context replay — the simultaneity property of the
-    Chor--Rabin protocol relies on proofs being non-transferable.
-    """
-    nonce = rng.randrange(1, group.q)
-    commitment = group.power(nonce)
-    statement = group.power(secret)
-    challenge = _challenge(group, "dlog", statement, commitment, context)
-    response = (nonce + challenge * (secret % group.q)) % group.q
-    return SchnorrProof(commitment=commitment, response=response)
-
-
-def verify_discrete_log(
-    group: SchnorrGroup, statement: GroupElement, proof: SchnorrProof, context: Any = ""
-) -> bool:
-    try:
-        challenge = _challenge(group, "dlog", statement, proof.commitment, context)
-        left = group.power(proof.response)
-        right = proof.commitment * (statement ** challenge)
-    except (TypeError, ValueError, AttributeError):
-        return False
-    return left == right
 
 
 @dataclass(frozen=True)
@@ -104,16 +63,6 @@ def verify_opening(
     except (TypeError, ValueError, AttributeError):
         return False
     return left == right
-
-
-def check_opening(
-    parameters: PedersenParameters,
-    statement: GroupElement,
-    proof: OpeningProof,
-    context: Any = "",
-) -> None:
-    if not verify_opening(parameters, statement, proof, context):
-        raise ProofError("proof of commitment opening failed to verify")
 
 
 def _challenge(

@@ -1,15 +1,13 @@
 """Input distribution ensembles and the achievability classes of Section 5."""
 
-from .base import Distribution, Ensemble
+from .base import Distribution
 from .classes import (
     ALL,
-    PHI,
     PSI_C,
     PSI_L,
     SINGLETON,
     UNIFORM,
     DistributionClass,
-    claim_56_witnesses,
     representatives,
 )
 from .correlated import (
@@ -19,38 +17,23 @@ from .correlated import (
     noisy_copy,
     parity,
 )
-from .standard import (
-    all_singletons,
-    bernoulli_product,
-    singleton,
-    uniform,
-)
-from .testers import (
-    empirical_distribution,
-    estimate_local_independence_gap,
-)
+from .standard import bernoulli_product, singleton, uniform
 
 __all__ = [
     "Distribution",
-    "Ensemble",
     "DistributionClass",
     "ALL",
-    "PHI",
     "PSI_C",
     "PSI_L",
     "SINGLETON",
     "UNIFORM",
-    "claim_56_witnesses",
     "representatives",
     "uniform",
     "singleton",
-    "all_singletons",
     "bernoulli_product",
     "all_equal",
     "parity",
     "noisy_copy",
     "near_product_mixture",
     "leaky_singleton",
-    "empirical_distribution",
-    "estimate_local_independence_gap",
 ]

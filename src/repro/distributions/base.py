@@ -6,9 +6,9 @@ distribution of interest fits in an explicit table, so marginals,
 conditionals and the class-membership quantities of Definitions 4.3/4.4
 are computed *exactly* rather than estimated.
 
-Coordinates are 1-based (matching party indices).  An
-:class:`Ensemble` maps the security parameter k to a distribution — most
-ensembles here are constant in k, mirroring the paper's fixed-n setting.
+Coordinates are 1-based (matching party indices).  Every distribution
+here is constant in the security parameter k, mirroring the paper's
+fixed-n setting.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import DistributionError
 
@@ -179,31 +179,3 @@ class Distribution:
 
     def __repr__(self) -> str:
         return f"Distribution({self.name}, n={self.n}, support={len(self.probs)})"
-
-
-class Ensemble:
-    """A distribution ensemble {D^(k)}: security parameter -> Distribution."""
-
-    def __init__(self, name: str, n: int, factory: Callable[[int], Distribution]):
-        self.name = name
-        self.n = n
-        self._factory = factory
-
-    @classmethod
-    def constant(cls, distribution: Distribution, name: str = "") -> "Ensemble":
-        return cls(
-            name or distribution.name,
-            distribution.n,
-            lambda _k, d=distribution: d,
-        )
-
-    def at(self, k: int) -> Distribution:
-        distribution = self._factory(k)
-        if distribution.n != self.n:
-            raise DistributionError(
-                f"ensemble {self.name} produced n={distribution.n}, expected {self.n}"
-            )
-        return distribution
-
-    def __repr__(self) -> str:
-        return f"Ensemble({self.name}, n={self.n})"

@@ -8,7 +8,6 @@ class                  membership criterion                          D(·)
 ====================  ===========================================  ========
 ``SINGLETON``          a point mass                                  —
 ``UNIFORM``            the uniform distribution                      —
-``PHI``                exactly a product of independent marginals    —
 ``PSI_L`` (Ψ_L,n)      local-independence gap ≤ tolerance            D(G)
 ``PSI_C`` (Ψ_C,n)      TV distance to a product ≤ tolerance          D(CR)
 ``ALL``                anything                                      D(Sb)
@@ -21,7 +20,7 @@ proxy because every separation witness in the paper exhibits a constant
 
     Singleton, Uniform ⊊ D(G) ⊊ D(CR) ⊊ D(Sb)
 
-is regenerated empirically by :func:`claim_56_witnesses`.
+is regenerated empirically by E-C56 (:mod:`repro.experiments.claim56`).
 """
 
 from __future__ import annotations
@@ -60,10 +59,6 @@ def _is_uniform(distribution: Distribution) -> bool:
     return distribution.tv_distance(uniform(distribution.n)) <= DEFAULT_TOLERANCE
 
 
-def _is_product(distribution: Distribution) -> bool:
-    return distribution.product_gap() <= DEFAULT_TOLERANCE
-
-
 def _is_locally_independent(distribution: Distribution) -> bool:
     return distribution.local_independence_gap() <= DEFAULT_TOLERANCE
 
@@ -78,9 +73,6 @@ SINGLETON = DistributionClass(
 UNIFORM = DistributionClass(
     "Uniform", "the uniform distribution", _is_uniform
 )
-PHI = DistributionClass(
-    "Phi_n", "exact products of independent coordinate distributions", _is_product
-)
 PSI_L = DistributionClass(
     "Psi_L,n = D(G)",
     "locally independent: conditionals match marginals (Section 5.2)",
@@ -92,32 +84,6 @@ PSI_C = DistributionClass(
     _is_computationally_independent,
 )
 ALL = DistributionClass("All = D(Sb)", "all input distributions", lambda _d: True)
-
-
-def claim_56_witnesses(n: int) -> Dict[str, Dict[str, object]]:
-    """Witness distributions regenerating each strict inclusion of Claim 5.6.
-
-    Returns, for each inclusion ``A ⊊ B``, a witness distribution that is a
-    member of B but not of A, together with its measured membership bits.
-    """
-    witnesses = {
-        "Singleton ⊊ D(G)": uniform(n),
-        "Uniform ⊊ D(G)": bernoulli_product([0.3] + [0.5] * (n - 1)),
-        "D(G) ⊊ D(CR)": near_product_mixture(n, delta=0.1),
-        "D(CR) ⊊ D(Sb)": parity(n),
-        "D(CR) ⊊ D(Sb) (alt)": all_equal(n),
-    }
-    report: Dict[str, Dict[str, object]] = {}
-    for label, distribution in witnesses.items():
-        report[label] = {
-            "distribution": distribution.name,
-            "singleton": SINGLETON.contains(distribution),
-            "uniform": UNIFORM.contains(distribution),
-            "psi_l": PSI_L.contains(distribution),
-            "psi_c": PSI_C.contains(distribution),
-            "all": True,
-        }
-    return report
 
 
 def representatives(n: int) -> Dict[str, List[Distribution]]:

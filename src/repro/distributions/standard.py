@@ -32,11 +32,6 @@ def singleton(vector: Sequence[int]) -> Distribution:
     )
 
 
-def all_singletons(n: int):
-    """Every singleton over {0,1}^n (the class Singleton, finitely listed)."""
-    return [singleton(v) for v in itertools.product((0, 1), repeat=n)]
-
-
 def bernoulli_product(biases: Sequence[float]) -> Distribution:
     """The independent product with P(x_i = 1) = biases[i-1] (class Φ_n)."""
     biases = list(biases)

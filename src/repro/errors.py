@@ -32,10 +32,6 @@ class SignatureError(CryptoError):
     """A signature failed to verify."""
 
 
-class ProofError(CryptoError):
-    """A zero-knowledge proof failed to verify."""
-
-
 class NetworkError(SimbcastError):
     """The network simulation was driven into an invalid state."""
 

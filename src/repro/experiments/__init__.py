@@ -5,13 +5,13 @@ results.  Run everything with::
 
     python -m repro experiments --jobs 4
 
-or programmatically via :func:`repro.experiments.registry.run_all`
-(``parallel=N`` shards across worker processes with bit-identical
+or programmatically via :func:`repro.experiments.registry.run_many`
+(``jobs=N`` shards across worker processes with bit-identical
 results; see :mod:`repro.parallel`).
 """
 
 from .common import ExperimentConfig, ExperimentResult, TrialPlan, TrialShard
-from .registry import REGISTRY, SHARDED_IDS, TITLES, run_all, run_experiment, run_many
+from .registry import REGISTRY, SHARDED_IDS, TITLES, run_experiment, run_many
 
 __all__ = [
     "ExperimentConfig",
@@ -21,7 +21,6 @@ __all__ = [
     "TITLES",
     "TrialPlan",
     "TrialShard",
-    "run_all",
     "run_experiment",
     "run_many",
 ]

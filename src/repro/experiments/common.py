@@ -20,14 +20,8 @@ from ..adversaries import (
     XorAttacker,
 )
 from ..core import MeasurementBudget
-from ..protocols import (
-    CGMABroadcast,
-    ChorRabinBroadcast,
-    GennaroBroadcast,
-    IdealSimultaneousBroadcast,
-    PiGBroadcast,
-    SequentialBroadcast,
-)
+from ..protocols import PiGBroadcast, SequentialBroadcast
+from ..scenario.registry import build_protocol
 
 
 @dataclass
@@ -209,16 +203,11 @@ class ExperimentResult:
 
 
 def standard_protocols(config: ExperimentConfig) -> Dict[str, Any]:
-    """The protocol zoo at the experiment's parameters."""
+    """The protocol zoo at the experiment's parameters, built from the
+    scenario registry (:data:`repro.scenario.registry.PROTOCOLS`)."""
     n, t, k = config.n, config.t, config.security_bits
-    return {
-        "sequential": SequentialBroadcast(n, t),
-        "ideal-sb": IdealSimultaneousBroadcast(n, t),
-        "cgma": CGMABroadcast(n, t, security_bits=k),
-        "chor-rabin": ChorRabinBroadcast(n, t, security_bits=k),
-        "gennaro": GennaroBroadcast(n, t, security_bits=k),
-        "pi-g": PiGBroadcast(n, t, backend="ideal"),
-    }
+    keys = ("sequential", "ideal-sb", "cgma", "chor-rabin", "gennaro", "pi-g")
+    return {key: build_protocol(key, n, t, k, sender=1) for key in keys}
 
 
 def copier_factory(protocol: SequentialBroadcast):

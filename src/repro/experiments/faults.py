@@ -34,12 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..analysis import render_table
 from ..faults import STANDARD_PLANS, FaultPlan
 from ..parallel import SERIAL_ENGINE, ExperimentEngine
-from ..protocols import (
-    IdealSimultaneousBroadcast,
-    NaiveCommitReveal,
-    PiGBroadcast,
-    SequentialBroadcast,
-)
+from ..scenario.registry import PROTOCOLS, build_protocol
 from .common import ExperimentConfig, ExperimentResult, TrialPlan, TrialShard
 
 EXPERIMENT_ID = "E-FAULT"
@@ -55,23 +50,6 @@ _PLAN_SALT_BASE = 0xFA00
 #: broadcast legitimately splits views — the measured story, not a bug).
 _REPORT_ONLY = ("sequential",)
 
-#: Protocols that communicate via the trusted-party mailbox: faults on the
-#: wire are vacuous, so agreement AND input preservation must both hold.
-_MAILBOX = ("ideal-sb", "pi-g")
-
-
-def _build_protocol(key: str, n: int, t: int) -> Any:
-    if key == "sequential":
-        return SequentialBroadcast(n, t)
-    if key == "ideal-sb":
-        return IdealSimultaneousBroadcast(n, t)
-    if key == "naive-commit-reveal":
-        return NaiveCommitReveal(n, t)
-    if key == "pi-g":
-        return PiGBroadcast(n, t, backend="ideal")
-    raise ValueError(f"unknown protocol key {key!r}")
-
-
 PROTOCOL_KEYS = ("sequential", "ideal-sb", "naive-commit-reveal", "pi-g")
 
 
@@ -83,7 +61,9 @@ def _run_shard(
     timeout_rounds: int,
 ) -> Dict[str, Any]:
     """Run one shard's trials and return additive per-cell statistics."""
-    protocol = _build_protocol(protocol_key, config.n, config.t)
+    protocol = build_protocol(
+        protocol_key, config.n, config.t, config.security_bits, sender=1
+    )
     alive = [
         i
         for i in range(1, config.n + 1)
@@ -213,7 +193,10 @@ def run(
                 # Baseline: the machinery must be a no-op for everyone.
                 cell_ok &= stats["faults_injected"] == 0
                 cell_ok &= agreement == 1.0 and preserved == 1.0
-            elif key in _MAILBOX:
+            elif PROTOCOLS[key].mailbox:
+                # Mailbox protocols exchange values through the trusted
+                # party, so wire faults are vacuous: agreement AND input
+                # preservation must both hold.
                 cell_ok &= agreement == 1.0 and preserved == 1.0
             elif key not in _REPORT_ONLY:
                 cell_ok &= agreement == 1.0

@@ -3,7 +3,7 @@
 Parallelism happens at two levels, both routed through
 :mod:`repro.parallel` and both bit-identical to a serial run:
 
-* **experiment-level** — :func:`run_many` / :func:`run_all` dispatch whole
+* **experiment-level** — :func:`run_many` dispatches whole
   experiments to worker processes (each experiment is deterministic given
   its config, and its cost metrics travel inside the returned result);
 * **trial-level** — the heavy runners (``SHARDED_IDS``: E-C56, E-L64,
@@ -181,10 +181,3 @@ def run_many(
                 experiment_id, config, jobs=jobs, engine=engine
             )
     return [results[experiment_id] for experiment_id in experiment_ids]
-
-
-def run_all(
-    config: Optional[ExperimentConfig] = None, parallel: int = 1
-) -> List[ExperimentResult]:
-    """Run every registered experiment; ``parallel=N`` shards across N workers."""
-    return run_many(list(REGISTRY), config, jobs=parallel)

@@ -31,8 +31,7 @@ replay tests and the ``--jobs`` equivalence gate assert.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import InvalidParameterError
@@ -231,9 +230,6 @@ class FaultPlan:
         """
         return self.seed * _SEED_MIX + salt
 
-    def with_name(self, name: str) -> "FaultPlan":
-        return replace(self, name=name)
-
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -256,20 +252,3 @@ class FaultPlan:
             seed=int(data.get("seed", 0)),
             name=str(data.get("name", "")),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.dumps())
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "FaultPlan":
-        with open(path, encoding="utf-8") as handle:
-            return cls.loads(handle.read())

@@ -1,14 +1,14 @@
 """Boolean-over-field circuit builder.
 
 Wraps :class:`repro.mpc.circuit.Circuit` with the boolean idioms needed to
-compile the function ``g`` of Lemma 6.4: XOR, AND, NOT, multiplexers and
-the Lagrange equality indicator for small sums.  Bits are represented as
+compile the function ``g`` of Lemma 6.4: XOR, NOT and the Lagrange
+equality indicator for small sums.  Bits are represented as
 field elements in {0, 1}; the helpers assume their arguments are bits.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable
 
 from ..crypto.field import PrimeField
 from ..errors import InvalidParameterError
@@ -69,13 +69,6 @@ class CircuitBuilder:
     def bit_not(self, a: int) -> int:
         return self.sub(self.one, a)
 
-    def bit_and(self, a: int, b: int) -> int:
-        return self.mul(a, b)
-
-    def bit_or(self, a: int, b: int) -> int:
-        # a + b - ab
-        return self.sub(self.add(a, b), self.mul(a, b))
-
     def bit_xor(self, a: int, b: int) -> int:
         # a + b - 2ab
         return self.sub(self.add(a, b), self.scale(self.mul(a, b), 2))
@@ -88,12 +81,6 @@ class CircuitBuilder:
         for wire in wires[1:]:
             result = self.bit_xor(result, wire)
         return result
-
-    def select(self, condition: int, if_true: int, if_false: int) -> int:
-        """``if_false + condition * (if_true - if_false)`` (condition a bit)."""
-        return self.add(
-            if_false, self.mul(condition, self.sub(if_true, if_false))
-        )
 
     def equals_const(self, wire: int, target: int, max_value: int) -> int:
         """Indicator bit for ``wire == target`` given ``wire`` in [0, max_value].
@@ -120,15 +107,6 @@ class CircuitBuilder:
         if numerator is None:  # max_value == 0 and target == 0
             return self.one
         return self.scale(numerator, int(denominator.inverse()))
-
-    def prefix_products(self, wires: Sequence[int]) -> List[int]:
-        """[w0, w0*w1, w0*w1*w2, ...] — used for "first set bit" logic."""
-        results: List[int] = []
-        running = None
-        for wire in wires:
-            running = wire if running is None else self.mul(running, wire)
-            results.append(running)
-        return results
 
     def output(self, wire: int) -> None:
         self.circuit.mark_output(wire)

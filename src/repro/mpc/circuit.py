@@ -126,23 +126,6 @@ class Circuit:
             if gate_owner == owner
         ]
 
-    def multiplication_layers(self) -> List[List[int]]:
-        """Group MUL gates into layers evaluable one network round each.
-
-        A MUL gate's layer is 1 + the maximum layer among the MUL gates it
-        (transitively) depends on; linear gates do not add depth.
-        """
-        depth: Dict[int, int] = {}
-        layers: Dict[int, List[int]] = {}
-        for gate_id, gate in enumerate(self.gates):
-            arg_depth = max((depth[a] for a in gate.args), default=0)
-            if gate.op == MUL:
-                depth[gate_id] = arg_depth + 1
-                layers.setdefault(arg_depth + 1, []).append(gate_id)
-            else:
-                depth[gate_id] = arg_depth
-        return [layers[level] for level in sorted(layers)]
-
     # -- reference evaluation ------------------------------------------------------
 
     def evaluate(self, inputs: Dict[Tuple[int, str], int]) -> List[FieldElement]:

@@ -15,7 +15,6 @@ from .runtime import (
     DropEdges,
     EventClock,
     ExponentialDelay,
-    NoOmission,
     OmissionPolicy,
     RandomDrop,
     RushDelay,
@@ -54,7 +53,6 @@ __all__ = [
     "RushDelay",
     "EventClock",
     "OmissionPolicy",
-    "NoOmission",
     "DropAll",
     "DropEdges",
     "RandomDrop",

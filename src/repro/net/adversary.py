@@ -217,7 +217,3 @@ class ProgramAdversary(Adversary):
 
     def finish(self) -> Any:
         return {i: state.output for i, state in self._states.items()}
-
-
-NO_ADVERSARY = Adversary(corrupted=())
-"""An adversary that corrupts nobody (pure honest execution)."""

@@ -85,10 +85,3 @@ def _as_drafts(key: Hashable, drafts: Any) -> List[Draft]:
                 f"sub-protocol {key!r} yielded {type(draft).__name__}; expected Draft"
             )
     return items
-
-
-def idle_rounds(count: int) -> Generator[Iterable[Draft], Inbox, None]:
-    """A sub-protocol that stays silent for ``count`` rounds (padding)."""
-    for _ in range(count):
-        yield []
-    return None

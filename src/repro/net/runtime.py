@@ -221,11 +221,6 @@ class OmissionPolicy:
         return f"{type(self).__name__}({self.spec()!r})"
 
 
-class NoOmission(OmissionPolicy):
-    name = "none"
-    draws = False
-
-
 class DropAll(OmissionPolicy):
     """Omit every message *sent by* the given parties (a send-omission fault)."""
 

@@ -10,7 +10,7 @@ toolkit, the broadcast emulation and the MPC substrate:
   exported as a Chrome/Perfetto trace (:func:`export.write_chrome_trace`);
 * :class:`Metrics` — a registry of named counters and histograms
   (rounds, messages, bytes, per-party traffic, group exponentiations,
-  hash/PRG calls, field multiplications, VSS shares verified, ...);
+  random-oracle calls, field multiplications, VSS shares verified, ...);
 * :mod:`repro.obs.runtime` — the process-wide switchboard.  Everything is
   **off by default**: instrumented code guards on ``runtime.metrics is
   None`` / ``tracer.enabled``, so uninstrumented runs pay a single
@@ -24,7 +24,7 @@ Typical use::
         execution = protocol.run(inputs, seed=7)
     print(m.get("net.messages.sent"), m.get("crypto.group.exp"))
     export.write_chrome_trace("trace.json", tr.records)
-    m.write_json("metrics.json")
+    print(m.snapshot())
 
 An experiment's counters and histograms leave in its ``--json`` artifact.
 """

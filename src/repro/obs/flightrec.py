@@ -23,8 +23,8 @@ snapshot automatically when
 
 Lifecycle mirrors the rest of the switchboard: **off by default**
 (every hook guards on ``_obs.flightrec is not None``, one attribute
-load + identity test), installed process-wide with :func:`enable` /
-scoped with :func:`recording`.  Parallel shards record into their own
+load + identity test), installed process-wide for the span of a
+:func:`recording` block.  Parallel shards record into their own
 ring (workers inherit "flight recording is on" via the engine's task
 flag), ship their buffer back with the shard payload, and the
 coordinator grafts it in with :meth:`FlightRecorder.fold` — the same
@@ -235,33 +235,18 @@ def active() -> Optional[FlightRecorder]:
     return runtime.flightrec
 
 
-def enable(
-    capacity: int = DEFAULT_CAPACITY,
-    run_id: Optional[str] = None,
-    dump_dir: Optional[str] = None,
-) -> FlightRecorder:
-    """Install a process-wide recorder (replacing any current one)."""
-    recorder = FlightRecorder(capacity=capacity, run_id=run_id, dump_dir=dump_dir)
-    _install(recorder)
-    Tracer.flight_tap = recorder
-    return recorder
-
-
-def disable() -> None:
-    """Turn flight recording off process-wide."""
-    _install(None)
-    Tracer.flight_tap = None
-
-
 @contextmanager
 def recording(
     capacity: int = DEFAULT_CAPACITY,
     run_id: Optional[str] = None,
     dump_dir: Optional[str] = None,
 ):
-    """Scope a recorder: enable, yield it, restore whatever was on before."""
+    """Scope a process-wide recorder: install it, yield it, restore whatever
+    was on before."""
     previous = active()
-    recorder = enable(capacity=capacity, run_id=run_id, dump_dir=dump_dir)
+    recorder = FlightRecorder(capacity=capacity, run_id=run_id, dump_dir=dump_dir)
+    _install(recorder)
+    Tracer.flight_tap = recorder
     try:
         yield recorder
     finally:

@@ -11,7 +11,6 @@ cost almost nothing even when enabled.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Optional
 
 from .. import serialization
@@ -126,12 +125,6 @@ class Metrics:
                 for name, histogram in sorted(self.histograms.items())
             },
         }
-
-    def write_json(self, path) -> None:
-        """Dump :meth:`snapshot` as a JSON file (the per-run metrics artifact)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.snapshot(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
     def __repr__(self) -> str:
         return (

@@ -23,7 +23,7 @@ already-observed experiment run — stay isolated).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Optional, Tuple
+from typing import Optional
 
 from .metrics import Metrics
 from .tracer import NOOP_TRACER, Tracer

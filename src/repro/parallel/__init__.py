@@ -14,7 +14,7 @@ Entry points:
 
 * ``--jobs N`` on the ``python -m repro`` commands that run experiments
   or campaigns (default: one worker per CPU);
-* :func:`repro.experiments.registry.run_all` with ``parallel=N``;
+* :func:`repro.experiments.registry.run_many` with ``jobs=N``;
 * :class:`ExperimentEngine` — the reusable process-pool mapper.
 """
 

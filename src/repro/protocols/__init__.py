@@ -18,7 +18,6 @@ from .cgma import CGMABroadcast, CGMAParallelDealing, CGMAPedersen
 from .chor_rabin import ChorRabinBroadcast, tag_message, untag_message
 from .gennaro import GennaroBroadcast
 from .ideal_sb import IdealSimultaneousBroadcast
-from .multibit import MultiBitBroadcast
 from .naive_commit_reveal import NaiveCommitReveal
 from .pease import PeaseInteractiveConsistency
 from .pi_g import PiGBroadcast
@@ -31,7 +30,6 @@ __all__ = [
     "coerce_bit",
     "SequentialBroadcast",
     "IdealSimultaneousBroadcast",
-    "MultiBitBroadcast",
     "CGMABroadcast",
     "CGMAParallelDealing",
     "CGMAPedersen",

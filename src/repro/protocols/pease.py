@@ -14,7 +14,7 @@ estimators score it directly; the companion adversary is
 
 from __future__ import annotations
 
-from ..broadcast.interactive_consistency import PRIMITIVES, InteractiveConsistency
+from ..broadcast.interactive_consistency import InteractiveConsistency
 from .base import DEFAULT_BIT, ParallelBroadcastProtocol, coerce_bit
 
 

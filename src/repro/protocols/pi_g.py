@@ -17,7 +17,7 @@ output uniform (G-Independence survives) while forcing ``⊕_i W_i = 0``
 from __future__ import annotations
 
 from .base import ParallelBroadcastProtocol, coerce_bit
-from .theta import BACKENDS, ThetaProtocol
+from .theta import ThetaProtocol
 
 
 class PiGBroadcast(ParallelBroadcastProtocol):

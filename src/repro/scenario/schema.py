@@ -1,6 +1,6 @@
 """Schema validation for the declarative scenario DSL (ROADMAP item 4).
 
-A scenario (and its embedded fault plan) travels as a plain JSON/YAML
+A scenario (and its embedded fault plan) travels as a plain JSON
 mapping; this module is the single place that decides whether such a
 mapping is well-formed *before* any runtime object is built from it.
 Validation is hand-rolled rather than delegated to ``jsonschema`` so the
@@ -27,7 +27,6 @@ line, as ``<field>: <what is wrong>``.
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List, Optional
 
 from ..errors import InvalidParameterError, ScenarioError
@@ -187,7 +186,7 @@ def validate_fault_plan_dict(data: Any, field: str = "faults") -> Dict[str, Any]
 
 
 def load_fault_plan(path: str) -> FaultPlan:
-    """Load and schema-validate a fault-plan file (JSON, or YAML by extension).
+    """Load and schema-validate a JSON fault-plan file.
 
     This is the ``--faults`` CLI entry point: a malformed plan fails here
     with a field-by-field diagnosis instead of deep inside the injector.
@@ -197,51 +196,20 @@ def load_fault_plan(path: str) -> FaultPlan:
     return FaultPlan.from_dict(data)
 
 
-# -- structured file loading (JSON with optional YAML) ------------------------------
-
-#: File extensions parsed as YAML (needs the optional pyyaml package).
-YAML_EXTENSIONS = (".yaml", ".yml")
+# -- structured file loading --------------------------------------------------------
 
 
 def load_structured(path: str) -> Any:
-    """Parse a JSON or YAML file into plain data, with readable errors."""
+    """Parse a JSON file into plain data, with readable errors."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path!r}: {exc}") from None
-    if os.path.splitext(path)[1].lower() in YAML_EXTENSIONS:
-        return parse_yaml(text, source=path)
     try:
         return json.loads(text)
     except ValueError as exc:
         raise ScenarioError(f"{path!r} is not valid JSON: {exc}") from None
-
-
-def parse_yaml(text: str, source: str = "<string>") -> Any:
-    """Parse YAML text, gated on the optional pyyaml dependency."""
-    try:
-        import yaml
-    except ImportError:
-        raise ScenarioError(
-            f"{source!r} is YAML but the optional pyyaml package is not"
-            " installed; use the JSON form instead"
-        ) from None
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{source!r} is not valid YAML: {exc}") from None
-
-
-def dump_yaml(data: Any) -> str:
-    """Serialize plain data as canonical (sorted-key) YAML."""
-    try:
-        import yaml
-    except ImportError:
-        raise ScenarioError(
-            "YAML output needs the optional pyyaml package; use JSON instead"
-        ) from None
-    return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)
 
 
 # -- scenarios ----------------------------------------------------------------------

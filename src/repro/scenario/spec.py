@@ -12,8 +12,7 @@ Entry points — the *only* supported ways to obtain a ``Scenario``:
 
 * :meth:`Scenario.from_dict` / :meth:`Scenario.build` — validate a
   mapping / keyword set against :mod:`repro.scenario.schema`;
-* :meth:`Scenario.loads` / :meth:`Scenario.load` — parse JSON (or YAML,
-  by extension) and validate;
+* :meth:`Scenario.load` — parse a JSON file and validate;
 * the campaign fuzzer (:mod:`repro.scenario.fuzz`) and shrinker
   (:mod:`repro.scenario.shrink`), which construct through the above.
 
@@ -33,8 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional
 
 from ..faults.plan import FaultPlan
@@ -73,7 +71,7 @@ class Scenario:
 
     def __post_init__(self):
         # Normalization only — cross-field validation belongs to the DSL
-        # entry points (from_dict/build/loads/load), which is what rule
+        # entry points (from_dict/build/load), which is what rule
         # SCN001 enforces for out-of-package constructors.
         if isinstance(self.faults, dict):
             object.__setattr__(self, "faults", FaultPlan.from_dict(self.faults))
@@ -114,19 +112,8 @@ class Scenario:
         return data
 
     @classmethod
-    def loads(cls, text: str, format: str = "json") -> "Scenario":
-        if format == "yaml":
-            data = schema.parse_yaml(text)
-        else:
-            try:
-                data = json.loads(text)
-            except ValueError as exc:
-                raise schema.ScenarioError(f"not valid JSON: {exc}") from None
-        return cls.from_dict(data)
-
-    @classmethod
     def load(cls, path: str) -> "Scenario":
-        """Load a scenario file; ``.yaml``/``.yml`` parse as YAML."""
+        """Load and validate a JSON scenario file."""
         data = schema.load_structured(path)
         if not isinstance(data, dict):
             raise schema.ScenarioError(
@@ -134,19 +121,12 @@ class Scenario:
             )
         return cls.from_dict(data)
 
-    def dumps(self, format: str = "json") -> str:
-        if format == "yaml":
-            return schema.dump_yaml(self.to_dict())
+    def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def dump(self, path: str) -> None:
-        format = (
-            "yaml"
-            if os.path.splitext(path)[1].lower() in schema.YAML_EXTENSIONS
-            else "json"
-        )
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.dumps(format=format))
+            handle.write(self.dumps())
 
     def canonical(self) -> str:
         """Sorted-key compact JSON: the scenario's equality witness."""
@@ -192,11 +172,6 @@ class Scenario:
         if self.omission:
             kwargs["omission"] = self.omission
         return kwargs
-
-    # -- derived views -------------------------------------------------------------
-
-    def with_name(self, name: str) -> "Scenario":
-        return replace(self, name=name)
 
     def __repr__(self) -> str:
         return (

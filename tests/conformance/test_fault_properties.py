@@ -5,7 +5,8 @@ properties the whole subsystem rests on:
 
 * **fixed-seed determinism** — the same (plan, seed, salt) recipe yields
   bit-identical executions;
-* **JSON round trip** — every plan survives ``dumps``/``loads`` exactly;
+* **JSON round trip** — every plan survives ``to_dict``/``from_dict``
+  through JSON text exactly;
 * **shard-partition commutation** — running a trial batch through any
   :class:`TrialPlan` partition produces the same per-trial results as the
   serial loop, which is the invariant that keeps ``--jobs N`` honest.
@@ -13,6 +14,7 @@ properties the whole subsystem rests on:
 
 from __future__ import annotations
 
+import json
 import random
 
 from hypothesis import given, settings
@@ -86,7 +88,7 @@ def test_fixed_seed_determinism(plan, seed):
 @settings(max_examples=50, deadline=None)
 @given(plan=fault_plans())
 def test_json_round_trip(plan):
-    assert FaultPlan.loads(plan.dumps()) == plan
+    assert FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
     assert FaultPlan.from_dict(plan.to_dict()) == plan
 
 

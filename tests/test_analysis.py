@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
-    BernoulliEstimate,
     Decision,
     TrendVerdict,
     assess_trend,
@@ -39,17 +38,6 @@ class TestHoeffding:
     @settings(max_examples=30, deadline=None)
     def test_halfwidth_positive(self, n):
         assert hoeffding_halfwidth(n) > 0
-
-
-class TestBernoulliEstimate:
-    def test_estimate_and_bounds(self):
-        estimate = BernoulliEstimate(successes=30, samples=100)
-        assert estimate.estimate == pytest.approx(0.3)
-        assert 0.0 <= estimate.lower < estimate.estimate < estimate.upper <= 1.0
-
-    def test_bounds_clamped(self):
-        assert BernoulliEstimate(0, 10).lower == 0.0
-        assert BernoulliEstimate(10, 10).upper == 1.0
 
 
 class TestDecide:

@@ -1,26 +1,20 @@
 """Tests for the determinism & protocol-discipline static analyzer.
 
-One bad + one good fixture per rule, the suppression and baseline
-round-trips, the JSON report schema, and the meta-test that the live
-tree itself is clean modulo the checked-in baseline.
+One bad + one good fixture per rule, the inline suppressions, the JSON
+report schema, and the meta-test that the live tree itself is clean:
+every finding gates.
 """
 
 import json
 import subprocess
 import sys
 import textwrap
-from collections import Counter
 
 import pytest
 
 from repro.__main__ import main
 from repro.analysis.engine import Finding, analyze_source, module_name_for
-from repro.analysis.report import (
-    apply_baseline,
-    build_report,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis.report import AnalysisReport, write_report
 from repro.analysis.rules import (
     ALL_RULES,
     RULES_BY_ID,
@@ -536,7 +530,7 @@ class TestSuppressions:
         assert findings == []
 
 
-# -- baseline round-trip -------------------------------------------------------------
+# -- report schema -------------------------------------------------------------------
 
 
 def _finding(path="repro/x.py", rule="DET001", message="m", line=1):
@@ -545,69 +539,28 @@ def _finding(path="repro/x.py", rule="DET001", message="m", line=1):
     )
 
 
-class TestBaseline:
-    def test_write_then_load_round_trip(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        write_baseline([_finding(), _finding(line=9)], path)
-        baseline = load_baseline(path)
-        assert baseline == Counter({_finding().key(): 2})
-
-    def test_baseline_is_line_insensitive(self):
-        baseline = Counter({_finding().key(): 1})
-        gating, baselined, stale = apply_baseline([_finding(line=42)], baseline)
-        assert gating == [] and len(baselined) == 1 and stale == []
-
-    def test_multiplicity_budget_gates_the_extra_instance(self):
-        baseline = Counter({_finding().key(): 1})
-        findings = [_finding(line=1), _finding(line=2)]
-        gating, baselined, stale = apply_baseline(findings, baseline)
-        assert len(gating) == 1 and len(baselined) == 1 and stale == []
-
-    def test_stale_entries_are_reported(self):
-        baseline = Counter({_finding().key(): 1, "other::DET002::gone": 1})
-        gating, baselined, stale = apply_baseline([_finding()], baseline)
-        assert gating == [] and stale == ["other::DET002::gone"]
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "absent.json")) == Counter()
-
-    def test_stale_baseline_fails_the_gate(self, tmp_path, capsys):
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(
-            json.dumps({"version": 1, "entries": {"never/existed.py::DET001::x": 1}})
-        )
-        clean = tmp_path / "clean.py"
-        clean.write_text("VALUE = 1\n")
-        code = main(["analyze", str(clean), "--baseline", str(baseline_path), "--out", "-"])
-        assert code == 1
-        assert "stale" in capsys.readouterr().out
-
-
-# -- report schema -------------------------------------------------------------------
-
-
 class TestReportSchema:
     def test_json_shape(self):
-        report = build_report([_finding()], files_scanned=3)
+        report = AnalysisReport(findings=[_finding()], files_scanned=3)
         payload = report.to_json()
-        assert payload["version"] == 1
+        assert set(payload) == {"version", "files_scanned", "rules", "summary", "findings"}
+        assert payload["version"] == 2
         assert payload["files_scanned"] == 3
-        assert payload["summary"]["gating"] == 1
-        assert payload["summary"]["baselined"] == 0
-        assert payload["summary"]["by_rule"] == {"DET001": 1}
-        assert payload["summary"]["stale_baseline_keys"] == []
+        assert payload["summary"] == {"gating": 1, "by_rule": {"DET001": 1}}
         entry = payload["findings"][0]
-        assert set(entry) == {
-            "rule", "severity", "path", "line", "col", "message", "key",
+        assert entry == {
+            "rule": "DET001", "severity": "error", "path": "repro/x.py",
+            "line": 1, "col": 0, "message": "m",
         }
-        assert entry["key"] == "repro/x.py::DET001::m"
         rules = {r["id"] for r in payload["rules"]}
         assert rules == set(RULES_BY_ID)
 
-    def test_report_is_deterministic(self):
-        first = build_report([_finding()], files_scanned=3).to_json()
-        second = build_report([_finding()], files_scanned=3).to_json()
-        assert json.dumps(first) == json.dumps(second)
+    def test_report_is_deterministic(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        write_report(AnalysisReport(findings=[_finding()], files_scanned=3), str(first))
+        write_report(AnalysisReport(findings=[_finding()], files_scanned=3), str(second))
+        assert first.read_bytes() == second.read_bytes()
+        assert json.loads(first.read_text())["findings"][0]["rule"] == "DET001"
 
     def test_catalog_covers_all_rules(self):
         catalog = rule_catalog()
@@ -633,25 +586,12 @@ class TestCli:
         dirty = tmp_path / "dirty.py"
         dirty.write_text("import os\ntoken = os.urandom(8)\n")
         out = tmp_path / "report.json"
-        code = main(["analyze", str(dirty), "--no-baseline", "--out", str(out), "--format", "json"])
+        code = main(["analyze", str(dirty), "--out", str(out), "--format", "json"])
         assert code == 1
         payload = json.loads(out.read_text())
-        assert payload["summary"]["gating"] == 1
+        assert payload["summary"] == {"gating": 1, "by_rule": {"DET001": 1}}
         assert payload["findings"][0]["rule"] == "DET001"
         capsys.readouterr()
-
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import os\ntoken = os.urandom(8)\n")
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(["analyze", str(dirty), "--baseline", str(baseline), "--update-baseline"])
-            == 0
-        )
-        code = main(["analyze", str(dirty), "--baseline", str(baseline), "--out", "-"])
-        assert code == 0
-        capsys.readouterr()
-
 
 # -- the live tree -------------------------------------------------------------------
 

@@ -54,3 +54,32 @@ def test_every_command_defaults_to_one_worker_per_cpu():
     parser = build_parser()
     for command in (["experiments"], ["obs", "export"], ["campaign"]):
         assert parser.parse_args(command).jobs == default_jobs()
+
+
+def design_module_map():
+    """The ``src/repro``-relative files that DESIGN.md §3's module map names."""
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    block = text.split("\n## 3.", 1)[1].split("```")[1]
+    named, package = set(), ""
+    for line in block.split("\n"):
+        entry = re.match(r"( {2}| {4})([\w.]+/?)(?=\s|$)", line)
+        if entry is None:
+            continue  # the root line or a wrapped description
+        indent, name = entry.groups()
+        if len(indent) == 2 and name.endswith("/"):
+            package = name
+        else:
+            named.add(name if len(indent) == 2 else package + name)
+    return named
+
+
+def test_design_module_map_matches_the_tree():
+    package = ROOT / "src" / "repro"
+    files = {
+        path.relative_to(package).as_posix()
+        for path in package.rglob("*.py")
+        if path.name != "__init__.py"
+    }
+    named = design_module_map()
+    assert not files - named, f"modules missing from DESIGN.md §3: {sorted(files - named)}"
+    assert not named - files, f"DESIGN.md §3 names no such module: {sorted(named - files)}"

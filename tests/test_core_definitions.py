@@ -17,7 +17,6 @@ from repro.core import (
     MeasurementBudget,
     announce_once,
     cr_report,
-    definition_grid,
     g_report,
     g_report_from_samples,
     g_star_report,
@@ -335,19 +334,6 @@ class TestMeasureAndGrid:
         report = measure("CR", protocol, UNIFORM, suite, rng(), budget)
         assert report.violated
         assert "copier" in report.witness
-
-    def test_grid_shape(self):
-        budget = MeasurementBudget(distribution_samples=60, samples_per_point=8)
-        cells = definition_grid(
-            [IdealSimultaneousBroadcast(N, T)],
-            ["CR", "G"],
-            [UNIFORM],
-            {},
-            rng(),
-            budget,
-        )
-        assert len(cells) == 2
-        assert {c.definition for c in cells} == {"CR", "G"}
 
     def test_budget_scaling(self):
         budget = MeasurementBudget(100, 50).scaled(0.1)

@@ -1,4 +1,4 @@
-"""Tests for hash, Pedersen and trapdoor commitments."""
+"""Tests for Pedersen and trapdoor commitments."""
 
 import random
 
@@ -7,49 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.commitment import (
-    HashCommitment,
     Opening,
     PedersenCommitment,
     PedersenParameters,
     TrapdoorCommitment,
 )
 from repro.crypto.group import SchnorrGroup
-from repro.errors import CommitmentError, InvalidParameterError
+from repro.errors import InvalidParameterError
 
 GROUP = SchnorrGroup.for_security(24)
 PARAMS = PedersenParameters.generate(GROUP)
-
-
-class TestHashCommitment:
-    def test_roundtrip(self):
-        scheme = HashCommitment()
-        commitment, opening = scheme.commit(("vote", 1), random.Random(0))
-        assert scheme.verify(commitment, opening)
-        assert scheme.check(commitment, opening) == ("vote", 1)
-
-    def test_wrong_value_rejected(self):
-        scheme = HashCommitment()
-        commitment, opening = scheme.commit(5, random.Random(0))
-        forged = Opening(6, opening.randomness)
-        assert not scheme.verify(commitment, forged)
-        with pytest.raises(CommitmentError):
-            scheme.check(commitment, forged)
-
-    def test_wrong_nonce_rejected(self):
-        scheme = HashCommitment()
-        commitment, opening = scheme.commit(5, random.Random(0))
-        assert not scheme.verify(commitment, Opening(5, b"\x00" * 32))
-
-    def test_hiding_commitments_differ_across_randomness(self):
-        scheme = HashCommitment()
-        c1, _ = scheme.commit(5, random.Random(1))
-        c2, _ = scheme.commit(5, random.Random(2))
-        assert c1 != c2
-
-    def test_tag_separates_domains(self):
-        rng = random.Random(0)
-        c1, opening = HashCommitment("a").commit(5, rng)
-        assert not HashCommitment("b").verify(c1, opening)
 
 
 class TestPedersenCommitment:

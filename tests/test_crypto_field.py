@@ -73,10 +73,6 @@ class TestFieldConstruction:
         assert F7.element(1) in F7
         assert F97.element(1) not in F7
 
-    def test_elements_iterator(self):
-        values = [e.value for e in F7.elements()]
-        assert values == list(range(7))
-
 
 class TestFieldArithmetic:
     @given(f97_ints, f97_ints)
@@ -136,7 +132,6 @@ class TestFieldArithmetic:
         rng = random.Random(1)
         for _ in range(50):
             assert 0 <= F97.random(rng).value < 97
-            assert 1 <= F97.random_nonzero(rng).value < 97
 
     def test_repr_mentions_modulus(self):
         assert "97" in repr(F97.element(5))

@@ -1,4 +1,4 @@
-"""Tests for polynomials and Lagrange interpolation."""
+"""Tests for polynomials and Lagrange coefficients."""
 
 import random
 
@@ -7,11 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.field import PrimeField
-from repro.crypto.polynomial import (
-    Polynomial,
-    lagrange_coefficients_at_zero,
-    lagrange_interpolate,
-)
+from repro.crypto.polynomial import Polynomial, lagrange_coefficients_at_zero
 from repro.errors import InvalidParameterError, ShareError
 
 F = PrimeField(101)
@@ -37,10 +33,6 @@ class TestPolynomialBasics:
     def test_evaluation_horner(self):
         poly = Polynomial(F, [3, 2, 1])  # 3 + 2x + x^2
         assert poly(2) == F.element(3 + 4 + 4)
-
-    def test_evaluate_many(self):
-        poly = Polynomial(F, [1, 1])
-        assert [v.value for v in poly.evaluate_many([0, 1, 2])] == [1, 2, 3]
 
     def test_random_degree_and_constant_term(self):
         rng = random.Random(7)
@@ -99,22 +91,6 @@ class TestPolynomialArithmetic:
 
 
 class TestInterpolation:
-    @given(coeff_lists.filter(lambda c: len(c) >= 1))
-    def test_roundtrip(self, coeffs):
-        poly = Polynomial(F, coeffs)
-        points = [(x, poly(x)) for x in range(len(coeffs) + 1)]
-        recovered = lagrange_interpolate(F, points)
-        assert recovered == poly
-
-    def test_duplicate_x_rejected(self):
-        with pytest.raises(ShareError):
-            lagrange_interpolate(F, [(1, 2), (1, 3)])
-
-    def test_single_point(self):
-        poly = lagrange_interpolate(F, [(5, 9)])
-        assert poly(5) == F.element(9)
-        assert poly.degree <= 0
-
     def test_coefficients_at_zero_match_interpolation(self):
         rng = random.Random(3)
         poly = Polynomial.random(F, 4, rng)

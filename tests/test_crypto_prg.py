@@ -1,8 +1,8 @@
-"""Tests for the PRG / PRF / random-oracle helpers."""
+"""Tests for the random-oracle helpers."""
 
 import pytest
 
-from repro.crypto.prg import PRF, PRG, random_oracle, random_oracle_int
+from repro.crypto.prg import random_oracle, random_oracle_int
 from repro.errors import InvalidParameterError
 
 
@@ -41,58 +41,3 @@ class TestRandomOracle:
         bits = [random_oracle_int("z", i, modulus=2) for i in range(400)]
         ones = sum(bits)
         assert 140 < ones < 260
-
-
-class TestPRG:
-    def test_deterministic_stream(self):
-        a = PRG(b"seed")
-        b = PRG(b"seed")
-        assert a.next_bytes(100) == b.next_bytes(100)
-
-    def test_stream_continuation(self):
-        a = PRG(b"seed")
-        whole = PRG(b"seed").next_bytes(64)
-        assert a.next_bytes(10) + a.next_bytes(54) == whole
-
-    def test_different_seeds_differ(self):
-        assert PRG(b"s1").next_bytes(32) != PRG(b"s2").next_bytes(32)
-
-    def test_next_int_in_range(self):
-        prg = PRG(b"seed")
-        for _ in range(100):
-            assert 0 <= prg.next_int(97) < 97
-
-    def test_next_bit(self):
-        prg = PRG(b"seed")
-        bits = [prg.next_bit() for _ in range(200)]
-        assert set(bits) == {0, 1}
-
-    def test_zero_count(self):
-        assert PRG(b"s").next_bytes(0) == b""
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            PRG(b"s").next_bytes(-1)
-
-    def test_invalid_modulus_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            PRG(b"s").next_int(0)
-
-
-class TestPRF:
-    def test_deterministic(self):
-        prf = PRF(b"key")
-        assert prf.evaluate("x") == PRF(b"key").evaluate("x")
-
-    def test_key_separation(self):
-        assert PRF(b"k1").evaluate("x") != PRF(b"k2").evaluate("x")
-
-    def test_input_separation(self):
-        prf = PRF(b"key")
-        assert prf.evaluate("x") != prf.evaluate("y")
-        assert prf.evaluate("x", 1) != prf.evaluate("x", 2)
-
-    def test_evaluate_int_in_range(self):
-        prf = PRF(b"key")
-        for i in range(50):
-            assert 0 <= prf.evaluate_int("ctr", i, modulus=17) < 17

@@ -1,4 +1,4 @@
-"""Tests for Schnorr signatures, the PKI directory, and sigma protocols."""
+"""Tests for Schnorr signatures, the PKI directory, and the opening proof."""
 
 import random
 
@@ -6,16 +6,9 @@ import pytest
 
 from repro.crypto.commitment import PedersenParameters
 from repro.crypto.group import SchnorrGroup
-from repro.crypto.sigma import (
-    OpeningProof,
-    check_opening,
-    prove_discrete_log,
-    prove_opening,
-    verify_discrete_log,
-    verify_opening,
-)
+from repro.crypto.sigma import OpeningProof, prove_opening, verify_opening
 from repro.crypto.signatures import KeyDirectory, KeyPair, Signature, sign, verify
-from repro.errors import InvalidParameterError, ProofError, SignatureError
+from repro.errors import InvalidParameterError, SignatureError
 
 GROUP = SchnorrGroup.for_security(24)
 PARAMS = PedersenParameters.generate(GROUP)
@@ -80,34 +73,6 @@ class TestKeyDirectory:
         assert len(keys) == 4
 
 
-class TestDiscreteLogProof:
-    def test_roundtrip(self):
-        rng = random.Random(13)
-        secret = 987
-        proof = prove_discrete_log(GROUP, secret, rng, context="ctx")
-        assert verify_discrete_log(GROUP, GROUP.power(secret), proof, context="ctx")
-
-    def test_wrong_statement_rejected(self):
-        rng = random.Random(13)
-        proof = prove_discrete_log(GROUP, 987, rng)
-        assert not verify_discrete_log(GROUP, GROUP.power(988), proof)
-
-    def test_context_binding(self):
-        rng = random.Random(13)
-        proof = prove_discrete_log(GROUP, 987, rng, context="round-1")
-        assert not verify_discrete_log(
-            GROUP, GROUP.power(987), proof, context="round-2"
-        )
-
-    def test_replayed_proof_fails_for_other_context(self):
-        # The non-transferability that the Chor–Rabin protocol needs: a proof
-        # bound to party 1's context does not verify for party 2's context.
-        rng = random.Random(14)
-        proof = prove_discrete_log(GROUP, 42, rng, context=("sid", 1))
-        assert verify_discrete_log(GROUP, GROUP.power(42), proof, context=("sid", 1))
-        assert not verify_discrete_log(GROUP, GROUP.power(42), proof, context=("sid", 2))
-
-
 class TestOpeningProof:
     def test_roundtrip(self):
         rng = random.Random(15)
@@ -115,15 +80,12 @@ class TestOpeningProof:
         statement = (PARAMS.g ** value) * (PARAMS.h ** blinding)
         proof = prove_opening(PARAMS, value, blinding, rng, context="c")
         assert verify_opening(PARAMS, statement, proof, context="c")
-        check_opening(PARAMS, statement, proof, context="c")
 
     def test_wrong_statement_rejected(self):
         rng = random.Random(15)
         proof = prove_opening(PARAMS, 5, 777, rng)
         wrong = (PARAMS.g ** 6) * (PARAMS.h ** 777)
         assert not verify_opening(PARAMS, wrong, proof)
-        with pytest.raises(ProofError):
-            check_opening(PARAMS, wrong, proof)
 
     def test_tampered_proof_rejected(self):
         rng = random.Random(15)

@@ -9,19 +9,13 @@ from hypothesis import strategies as st
 
 from repro.distributions import (
     ALL,
-    PHI,
     PSI_C,
     PSI_L,
     SINGLETON,
     UNIFORM,
     Distribution,
-    Ensemble,
     all_equal,
-    all_singletons,
     bernoulli_product,
-    claim_56_witnesses,
-    empirical_distribution,
-    estimate_local_independence_gap,
     leaky_singleton,
     near_product_mixture,
     noisy_copy,
@@ -163,13 +157,12 @@ class TestClasses:
         d = uniform(3)
         assert not SINGLETON.contains(d)
         assert UNIFORM.contains(d)
-        assert PHI.contains(d)
         assert PSI_L.contains(d)
         assert PSI_C.contains(d)
         assert ALL.contains(d)
 
     def test_chain_on_singletons(self):
-        for d in all_singletons(3):
+        for d in (singleton(v) for v in itertools.product((0, 1), repeat=3)):
             assert SINGLETON.contains(d)
             assert PSI_L.contains(d)
             assert PSI_C.contains(d)
@@ -194,18 +187,6 @@ class TestClasses:
     def test_all_equal_outside_psi_c(self):
         assert not PSI_C.contains(all_equal(4))
 
-    def test_claim_56_witnesses_certify_strict_chain(self):
-        """Claim 5.6: Singleton, Uniform ⊊ D(G) ⊊ D(CR) ⊊ D(Sb)."""
-        report = claim_56_witnesses(4)
-        w = report["Singleton ⊊ D(G)"]
-        assert w["psi_l"] and not w["singleton"]
-        w = report["Uniform ⊊ D(G)"]
-        assert w["psi_l"] and not w["uniform"]
-        w = report["D(G) ⊊ D(CR)"]
-        assert w["psi_c"] and not w["psi_l"]
-        w = report["D(CR) ⊊ D(Sb)"]
-        assert w["all"] and not w["psi_c"]
-
     def test_representatives_belong_to_their_classes(self):
         reps = representatives(4)
         for d in reps["D(G)"]:
@@ -214,44 +195,3 @@ class TestClasses:
             assert PSI_C.contains(d)
         for d in reps["Singleton"]:
             assert SINGLETON.contains(d)
-
-
-class TestEnsembles:
-    def test_constant_ensemble(self):
-        e = Ensemble.constant(uniform(3))
-        assert e.at(16) is e.at(64)
-        assert e.n == 3
-
-    def test_varying_ensemble(self):
-        e = Ensemble("shrinking-mixture", 3, lambda k: near_product_mixture(3, delta=1.0 / k))
-        assert e.at(10).product_gap() > e.at(100).product_gap()
-
-    def test_dimension_check(self):
-        e = Ensemble("bad", 4, lambda k: uniform(3))
-        with pytest.raises(DistributionError):
-            e.at(16)
-
-
-class TestEmpiricalTesters:
-    def test_empirical_distribution_converges(self):
-        d = bernoulli_product([0.3, 0.7])
-        rng = random.Random(5)
-        empirical = empirical_distribution(d.sample, 2, 4000, rng)
-        assert empirical.tv_distance(d) < 0.05
-
-    def test_empirical_local_gap_separates(self):
-        rng = random.Random(6)
-        low = estimate_local_independence_gap(uniform(3).sample, 3, 2000, rng)
-        high = estimate_local_independence_gap(all_equal(3).sample, 3, 2000, rng)
-        assert low < 0.15
-        assert high > 0.4
-
-    def test_sampler_length_validated(self):
-        rng = random.Random(7)
-        with pytest.raises(DistributionError):
-            empirical_distribution(lambda r: (0, 1), 3, 10, rng)
-
-    def test_sample_count_validated(self):
-        rng = random.Random(8)
-        with pytest.raises(DistributionError):
-            empirical_distribution(uniform(2).sample, 2, 0, rng)

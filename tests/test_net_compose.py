@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.net.compose import idle_rounds, run_in_lockstep
+from repro.net.compose import run_in_lockstep
 from repro.net.message import send
 from repro.net.network import run_protocol
 
@@ -164,7 +164,8 @@ class TestIdleRounds:
                 return None
 
             def program(self, ctx, value):
-                yield from idle_rounds(3)
+                for _ in range(3):
+                    yield []
                 return "done"
 
         execution = run_protocol(Idler(), [None, None], seed=7)

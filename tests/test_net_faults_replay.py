@@ -8,11 +8,13 @@ which is exactly what ``--faults PLAN.json`` does.
 """
 
 import dataclasses
+import json
 
 from repro.faults import CrashFault, FaultPlan, FaultRule
 from repro.obs import Metrics, runtime as obs_runtime
 from repro.protocols.naive_commit_reveal import NaiveCommitReveal
 from repro.protocols.sequential import SequentialBroadcast
+from repro.scenario.schema import load_fault_plan
 
 PLAN = FaultPlan(
     name="replay",
@@ -70,7 +72,7 @@ def test_fault_records_are_structured():
 
 
 def test_plan_json_round_trip_replays_identically():
-    reloaded = FaultPlan.loads(PLAN.dumps())
+    reloaded = FaultPlan.from_dict(json.loads(json.dumps(PLAN.to_dict())))
     assert reloaded == PLAN
     direct, direct_metrics = run_once(PLAN)
     replayed, replayed_metrics = run_once(reloaded)
@@ -82,9 +84,9 @@ def test_plan_json_round_trip_replays_identically():
 
 def test_plan_file_round_trip_replays_identically(tmp_path):
     path = tmp_path / "plan.json"
-    PLAN.dump(str(path))
+    path.write_text(json.dumps(PLAN.to_dict()))
     direct, _ = run_once(PLAN)
-    replayed, _ = run_once(FaultPlan.load(str(path)))
+    replayed, _ = run_once(load_fault_plan(str(path)))
     assert replayed.faults == direct.faults
     assert replayed.outputs == direct.outputs
 

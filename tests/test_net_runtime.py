@@ -27,7 +27,6 @@ from repro.net.runtime import (
     EventClock,
     ExponentialDelay,
     MIN_EDGE_DELAY,
-    NoOmission,
     RandomDrop,
     RushDelay,
     RuntimeConfig,
@@ -188,7 +187,6 @@ class TestOmissionPolicies:
         rnd = omission_from_spec("random:0.25")
         assert isinstance(rnd, RandomDrop)
         assert rnd.probability == 0.25
-        assert isinstance(NoOmission(), NoOmission)
         with pytest.raises(InvalidParameterError):
             omission_from_spec("teleport:1")
 

@@ -77,14 +77,6 @@ class TestMetrics:
         metrics.observe("y", 1.5)
         json.dumps(metrics.snapshot())
 
-    def test_write_json(self, tmp_path):
-        metrics = Metrics()
-        metrics.inc("net.rounds", 7)
-        path = tmp_path / "metrics.json"
-        metrics.write_json(path)
-        loaded = json.loads(path.read_text())
-        assert loaded["counters"]["net.rounds"] == 7
-
 
 class TestPayloadSize:
     def test_matches_canonical_encoding(self):

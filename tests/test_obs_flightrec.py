@@ -93,24 +93,20 @@ class TestLifecycle:
         assert flightrec.dump_if_active("nothing-on") is None
 
     def test_enable_disable(self):
-        recorder = flightrec.enable(capacity=16)
-        try:
+        with flightrec.recording(capacity=16) as recorder:
             assert flightrec.active() is recorder
             assert runtime.flightrec is recorder
             assert Tracer.flight_tap is recorder
-        finally:
-            flightrec.disable()
         assert flightrec.active() is None
         assert Tracer.flight_tap is None
 
     def test_recording_restores_previous(self):
-        outer = flightrec.enable(capacity=16)
-        try:
+        with flightrec.recording(capacity=16) as outer:
             with flightrec.recording(capacity=8) as inner:
                 assert flightrec.active() is inner
+                assert Tracer.flight_tap is inner
             assert flightrec.active() is outer
-        finally:
-            flightrec.disable()
+            assert Tracer.flight_tap is outer
 
     def test_dump_if_active_swallows_write_errors(self, tmp_path):
         with flightrec.recording(dump_dir=str(tmp_path / "missing" / "x" / "y")):

@@ -22,7 +22,6 @@ from repro.experiments import (
     SHARDED_IDS,
     ExperimentConfig,
     TrialPlan,
-    run_all,
     run_experiment,
     run_many,
 )
@@ -249,9 +248,6 @@ class TestSerialParallelEquality:
 class TestMutableDefaultFix:
     def test_run_experiment_default_config_is_none(self):
         assert inspect.signature(run_experiment).parameters["config"].default is None
-
-    def test_run_all_default_config_is_none(self):
-        assert inspect.signature(run_all).parameters["config"].default is None
 
     def test_runner_modules_do_not_share_a_config_instance(self):
         for module in registry_module._MODULES:

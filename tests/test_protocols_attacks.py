@@ -12,7 +12,6 @@ from repro import fastpath
 from repro.adversaries import (
     Adversary,
     CommitEchoAdversary,
-    InputFlipper,
     InputSubstitution,
     SequentialCopier,
     XorAttacker,
@@ -406,7 +405,9 @@ class TestInputSubstitution:
         protocol = GennaroBroadcast(4, 1, security_bits=16)
         announced = protocol.announced(
             (1, 1, 0, 1),
-            adversary=InputFlipper(protocol, corrupted=[3]),
+            adversary=InputSubstitution(
+                protocol, corrupted=[3], substitution=lambda _party, original: 1 - original
+            ),
             seed=12,
         )
         assert announced == (1, 1, 1, 1)

@@ -22,7 +22,6 @@ from repro.protocols import (
     PiGBroadcast,
     SequentialBroadcast,
 )
-from repro.protocols.multibit import MultiBitBroadcast
 
 N, T = 4, 1
 
@@ -127,47 +126,6 @@ class TestAdversarialInvariants:
         for party in range(1, N + 1):
             if party not in pair:
                 assert announced[party - 1] == inputs[party - 1]
-
-
-class TestMultiBit:
-    @given(
-        values=st.lists(st.integers(min_value=0, max_value=15), min_size=N, max_size=N),
-        seed=st.integers(min_value=0, max_value=500),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_roundtrip(self, values, seed):
-        broadcast = MultiBitBroadcast(lambda: SequentialBroadcast(N, T), bits=4)
-        assert broadcast.announced(values, seed=seed) == tuple(values)
-
-    def test_value_range_validated(self):
-        from repro.errors import InvalidParameterError
-
-        broadcast = MultiBitBroadcast(lambda: SequentialBroadcast(N, T), bits=2)
-        with pytest.raises(InvalidParameterError):
-            broadcast.announced([4, 0, 0, 0])
-        with pytest.raises(InvalidParameterError):
-            broadcast.announced([0, 0])
-
-    def test_bits_validated(self):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError):
-            MultiBitBroadcast(lambda: SequentialBroadcast(N, T), bits=0)
-
-    def test_none_values_default_to_zero(self):
-        broadcast = MultiBitBroadcast(lambda: SequentialBroadcast(N, T), bits=3)
-        assert broadcast.announced([5, None, 3, 1], seed=1) == (5, 0, 3, 1)
-
-    def test_adversary_factory_receives_positions(self):
-        positions = []
-
-        def factory(position):
-            positions.append(position)
-            return None
-
-        broadcast = MultiBitBroadcast(lambda: SequentialBroadcast(N, T), bits=3)
-        broadcast.announced([1, 2, 3, 4], adversary_factory=factory, seed=1)
-        assert positions == [2, 1, 0]  # MSB first
 
 
 class TestCrashFaults:

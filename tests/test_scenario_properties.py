@@ -3,9 +3,9 @@
 Quantified over the campaign fuzzer's own output — every scenario a
 campaign can generate is, by construction, a fair sample of the DSL:
 
-* **round-trip identity** — ``to_dict``/``from_dict`` and the JSON (and
-  YAML, when pyyaml is present) serializations are lossless, and the
-  canonical form / ``scenario_id`` are stable across round trips;
+* **round-trip identity** — ``to_dict``/``from_dict`` and the JSON
+  serialization are lossless, and the canonical form / ``scenario_id``
+  are stable across round trips;
 * **validity by construction** — everything the fuzzer generates passes
   the schema with zero recorded problems;
 * **shrinker fixpoint** — shrinking is idempotent (the minimal scenario
@@ -45,14 +45,7 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(scenarios)
     def test_json_round_trip_is_identity(self, scenario):
-        rebuilt = Scenario.loads(scenario.dumps())
-        assert rebuilt == scenario
-
-    @settings(max_examples=30, deadline=None)
-    @given(scenarios)
-    def test_yaml_round_trip_is_identity(self, scenario):
-        pytest.importorskip("yaml")
-        rebuilt = Scenario.loads(scenario.dumps(format="yaml"), format="yaml")
+        rebuilt = Scenario.from_dict(json.loads(scenario.dumps()))
         assert rebuilt == scenario
 
     @settings(max_examples=60, deadline=None)

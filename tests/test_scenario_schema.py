@@ -147,12 +147,25 @@ class TestStructuredLoading:
         with pytest.raises(ScenarioError, match="is not valid JSON"):
             load_structured(str(path))
 
-    def test_yaml_by_extension(self, tmp_path):
-        pytest.importorskip("yaml")
+    def test_yaml_file_is_not_valid_json(self, tmp_path, capsys):
+        """Scenarios and plans are JSON only: a YAML file fails as invalid
+        JSON with a clean exit (1 from validate, 2 elsewhere), never a
+        traceback."""
         path = tmp_path / "plan.yaml"
         path.write_text("rules:\n- kind: drop\n  probability: 0.5\n")
-        plan = load_fault_plan(str(path))
-        assert len(plan.rules) == 1
+        with pytest.raises(ScenarioError, match="is not valid JSON"):
+            load_fault_plan(str(path))
+        assert main(["campaign", "validate", str(path)]) == 1
+        assert "is not valid JSON" in capsys.readouterr().out
+        for argv in (
+            ["campaign", "exec", str(path)],
+            ["campaign", "shrink", str(path)],
+            ["experiments", "E-FAULT", "--faults", str(path)],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "is not valid JSON" in capsys.readouterr().err
 
     def test_load_fault_plan_diagnoses_fields(self, tmp_path):
         path = tmp_path / "plan.json"
