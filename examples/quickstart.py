@@ -3,9 +3,9 @@
 
 Five parties broadcast one bit each, in parallel, such that nobody can
 base their bit on anybody else's.  We run the constant-round Gennaro-style
-protocol [12] honestly, then unleash the rushing copy adversary on both a
-naive commit-then-reveal protocol (which it breaks) and on Gennaro's
-(which resists).
+protocol [12] honestly and print its per-round message flow, then unleash
+the rushing copy adversary on both a naive commit-then-reveal protocol
+(which it breaks) and on Gennaro's (which resists).
 
 Run with::
 
@@ -13,6 +13,7 @@ Run with::
 """
 
 from repro.adversaries import CommitEchoAdversary
+from repro.obs.export import timeline
 from repro.protocols import GennaroBroadcast, NaiveCommitReveal
 
 
@@ -28,6 +29,7 @@ def main() -> None:
     print(f"  announced: {execution.announced_vector()}")
     print(f"  rounds:    {execution.communication_rounds}")
     assert execution.announced_vector() == tuple(inputs)
+    print(timeline(execution), end="")
 
     # ---- 2. the copy attack on a naive protocol --------------------------------
     print("\nrushing copy attack (party 5 copies party 1)")

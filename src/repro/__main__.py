@@ -2,7 +2,6 @@
 
 * ``experiments [ID ...]`` — regenerate the paper's tables and figures
   (all of them if no id is given); exits 1 if any reports MISMATCH;
-* ``obs export [ID ...]`` — Perfetto trace, artifacts and timelines;
 * ``campaign [validate|exec|shrink]`` — seeded, resumable scenario fuzzing
   over the protocol zoo with minimal-repro shrinking (:mod:`repro.scenario`);
 * ``analyze [PATH ...]`` — the determinism & protocol-discipline static
@@ -15,7 +14,14 @@
 ``--jobs``, ``--seed``, ``--scale``, ``--n`` and ``--t`` are declared once,
 in :func:`build_parser`.  ``--jobs`` defaults to one worker per CPU, and
 results are bit-identical at any value (see :mod:`repro.parallel`).  A
-usage error exits 2.  To profile a run, use cProfile::
+usage error exits 2.
+
+``python -m repro --trace FILE <command> ...`` runs any command under a
+:class:`~repro.obs.Tracer` and writes its spans and events, pool workers'
+included, as one Chrome/Perfetto trace (open it at ui.perfetto.dev), even
+when the command fails.  The trace's ``metadata`` holds the coordinator
+process's :func:`repro.fastpath.stats`.  Tracing moves no artifact bit.
+To profile a run, use cProfile::
 
     python -m cProfile -s cumulative -m repro experiments --jobs 1 E-COST
 """
@@ -33,10 +39,10 @@ from .analysis.engine import analyze_files, iter_python_files
 from .analysis.report import DEFAULT_REPORT_PATH, AnalysisReport, write_report
 from .analysis.rules import ALL_RULES, resolve_rules, rule_catalog
 from .errors import ScenarioError
-from .experiments.common import ExperimentConfig, ExperimentResult, standard_protocols
+from .experiments.common import ExperimentConfig, ExperimentResult
 from .experiments.diffjson import compare_dirs
 from .experiments.registry import REGISTRY, TITLES, run_many
-from .obs import Metrics, Tracer, export, flightrec, runtime
+from .obs import Tracer, export, runtime
 from .parallel import default_jobs
 from .scenario.campaign import (
     DEFAULT_BATCH,
@@ -50,39 +56,11 @@ from .scenario.schema import load_fault_plan, load_structured, scenario_errors
 from .scenario.shrink import shrink_violation
 from .scenario.spec import Scenario
 
-#: The default ``--scale`` of ``obs export``.
-EXPORT_SCALE = 0.15
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-
-def _write_json(path: str, payload: Any) -> None:
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_artifact(directory: str, result: ExperimentResult) -> str:
+def _write_artifact(directory: str, result: ExperimentResult) -> None:
     """Write ``DIRECTORY/<ID>.json``, the artifact ``diffjson`` and the goldens compare."""
     path = os.path.join(directory, f"{result.experiment_id}.json")
-    _write_json(path, result.to_json_dict())
-    return path
-
-
-def _experiment_ids(args: argparse.Namespace, default: List[str]) -> List[str]:
-    """The positional experiment ids (``default`` if none); unknown ids are a usage error."""
-    unknown = [e for e in args.experiments if e not in REGISTRY]
-    if unknown:
-        args.error(f"unknown experiment id(s): {', '.join(unknown)} (see `experiments --list`)")
-    return args.experiments or default
-
-
-def _config(args: argparse.Namespace, scale: float, **fields: Any) -> ExperimentConfig:
-    """The configuration the shared options select; ``scale`` is the command's default."""
-    if args.scale is not None:
-        scale = args.scale
-    return ExperimentConfig(n=args.n, t=args.t, seed=args.seed, scale=scale, **fields)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
 # -- experiments ---------------------------------------------------------------------
@@ -95,7 +73,9 @@ def run_experiments(args: argparse.Namespace) -> int:
         for experiment_id in REGISTRY:
             print(f"{experiment_id.ljust(width)}  {TITLES[experiment_id]}")
         return 0
-    experiment_ids = _experiment_ids(args, list(REGISTRY))
+    unknown = [e for e in args.experiments if e not in REGISTRY]
+    if unknown:
+        args.error(f"unknown experiment id(s): {', '.join(unknown)} (see `experiments --list`)")
     if args.json is not None:
         try:
             os.makedirs(args.json, exist_ok=True)
@@ -110,54 +90,17 @@ def run_experiments(args: argparse.Namespace) -> int:
             fault_plan = load_fault_plan(args.faults)
         except ScenarioError as exc:
             args.error(f"--faults {args.faults!r}: {exc}")
-    config = _config(args, 1.0, fault_plan=fault_plan)
+    config = ExperimentConfig(
+        n=args.n, t=args.t, seed=args.seed, scale=args.scale, fault_plan=fault_plan
+    )
     failures = 0
-    for result in run_many(experiment_ids, config, jobs=args.jobs):
+    for result in run_many(args.experiments or list(REGISTRY), config, jobs=args.jobs):
         print(result.render())
         print(f"  ({result.metrics.get('wall_seconds', 0.0):.1f}s)\n")
         if args.json is not None:
             _write_artifact(args.json, result)
         failures += not result.passed
     return 1 if failures else 0
-
-
-# -- obs -----------------------------------------------------------------------------
-
-
-def run_obs_export(args: argparse.Namespace) -> int:
-    """Run experiments traced; write the trace, artifacts, kernel telemetry and timelines."""
-    experiment_ids = _experiment_ids(args, ["E-COST"])
-    config = _config(args, EXPORT_SCALE)
-    protocol = standard_protocols(config).get(args.protocol)
-    if protocol is None:
-        args.error(f"unknown protocol {args.protocol!r} for the timeline")
-    os.makedirs(args.out, exist_ok=True)
-
-    tracer = Tracer()
-    with flightrec.recording(run_id="export", dump_dir=args.out):
-        with runtime.observed(tracer=tracer, metrics=Metrics()):
-            results = run_many(experiment_ids, config, jobs=args.jobs)
-
-    trace_path = os.path.join(args.out, "trace_chrome.json")
-    export.write_chrome_trace(trace_path, tracer.records, process_name="repro")
-    written = [trace_path] + [_write_artifact(args.out, result) for result in results]
-    # Process-local and cache-warmth dependent, so never part of an artifact.
-    telemetry_path = os.path.join(args.out, "fastpath.json")
-    _write_json(telemetry_path, fastpath.stats())
-    written.append(telemetry_path)
-
-    execution = protocol.run([i % 2 for i in range(protocol.n)], seed=config.seed)
-    slug = args.protocol.replace("-", "_")
-    text_path = os.path.join(args.out, f"timeline_{slug}.txt")
-    _write(text_path, export.timeline(execution))
-    html_path = os.path.join(args.out, f"timeline_{slug}.html")
-    title = f"{args.protocol} execution timeline"
-    _write(html_path, export.timeline_html(execution, title=title))
-    written.extend([text_path, html_path])
-
-    for path in written:
-        print(f"wrote {path}")
-    return 0 if all(result.passed for result in results) else 1
 
 
 # -- campaign ------------------------------------------------------------------------
@@ -336,21 +279,28 @@ def build_parser() -> argparse.ArgumentParser:
         default=ExperimentConfig.seed,
         help="master seed (default: %(default)s); every trial and scenario derives from it",
     )
-    sized = argparse.ArgumentParser(add_help=False, parents=[pooled])
-    sized.add_argument(
-        "--scale", type=float, help=f"sample-size factor (default: 1.0; obs: {EXPORT_SCALE})"
-    )
-    sized.add_argument("--n", type=int, default=ExperimentConfig.n, help="number of parties")
-    sized.add_argument("--t", type=int, default=ExperimentConfig.t, help="corruption bound")
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the results of 'Simultaneous Broadcast Revisited'.",
     )
+    parser.add_argument(
+        "--trace",
+        metavar="FILE",
+        help="write the command's spans and events as a Chrome/Perfetto trace to FILE",
+    )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    experiments = _command(commands, "experiments", run_experiments, sized)
+    experiments = _command(commands, "experiments", run_experiments, pooled)
     experiments.add_argument("experiments", nargs="*", metavar="ID", help="default: all")
+    experiments.add_argument(
+        "--scale",
+        type=float,
+        default=ExperimentConfig.scale,
+        help="sample-size factor (default: %(default)s)",
+    )
+    experiments.add_argument("--n", type=int, default=ExperimentConfig.n, help="number of parties")
+    experiments.add_argument("--t", type=int, default=ExperimentConfig.t, help="corruption bound")
     experiments.add_argument(
         "--list", action="store_true", dest="list_experiments", help="list ids and titles"
     )
@@ -361,14 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="a repro.faults.FaultPlan file E-FAULT sweeps next to its standard plans"
         " (measured, never gated)",
     )
-
-    about = "Observability exports: a Perfetto trace, artifacts and timelines."
-    obs = commands.add_parser("obs", help=about, description=about)
-    obs_commands = obs.add_subparsers(dest="subcommand", required=True)
-    obs_export = _command(obs_commands, "export", run_obs_export, sized)
-    obs_export.add_argument("experiments", nargs="*", metavar="ID", help="default: E-COST")
-    obs_export.add_argument("--out", default="obs-artifacts", metavar="DIR")
-    obs_export.add_argument("--protocol", default="cgma", help="zoo protocol for the timeline")
 
     campaign = _command(commands, "campaign", run_campaign, pooled)
     campaign.add_argument("--budget", type=positive_int, default=200, metavar="N", help="scenarios")
@@ -411,8 +353,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.run(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.trace is None:
+        return args.run(args)
+    directory = os.path.dirname(os.path.abspath(args.trace))
+    if not os.path.isdir(directory):
+        parser.error(f"--trace {args.trace!r}: no such directory {directory!r}")
+    # Only the tracer changes: the command keeps the ambient Metrics and
+    # flight recorder it would have without --trace.
+    ambient, tracer = runtime.tracer, Tracer()
+    runtime.tracer = tracer
+    try:
+        return args.run(args)
+    finally:
+        runtime.tracer = ambient
+        # Process-local and cache-warmth dependent, so never part of an artifact.
+        telemetry = {"fastpath": {"coordinator": fastpath.stats()}}
+        export.write_chrome_trace(args.trace, tracer.records, metadata=telemetry)
 
 
 if __name__ == "__main__":

@@ -504,17 +504,17 @@ class EnvOutsideSeam(Rule):
 class MetricNameShape(Rule):
     """OBS001 — metric/span names are stable dotted lowercase keys.
 
-    Experiment artifacts, the golden files and
-    :meth:`Metrics.counters_with_prefix` address counters by dotted
-    segment, so every literal name must match
-    ``[a-z][a-z0-9_]*(.[a-z0-9_]+)*``: no uppercase, no other separator
-    (``/``, ``-``, space), no leading digit and no empty segment.
+    Experiment artifacts and the golden files key counters by their
+    dotted names, and a ``--trace`` file's spans are read the same way,
+    so every literal name must match ``[a-z][a-z0-9_]*(.[a-z0-9_]+)*``:
+    no uppercase, no other separator (``/``, ``-``, space), no leading
+    digit and no empty segment.
     """
 
     id = "OBS001"
     severity = SEVERITY_ERROR
     title = "metric/span name is not a dotted lowercase key"
-    rationale = "artifacts, goldens and prefix queries address names by segment"
+    rationale = "artifacts, goldens and traces address names by dotted segment"
 
     def _check_literal(self, name: str) -> Optional[str]:
         if not _METRIC_NAME.fullmatch(name):
@@ -599,7 +599,7 @@ class ScenarioBypassesSchema(Rule):
     """SCN001 — direct ``Scenario(...)`` construction outside the DSL.
 
     The scenario DSL validates at its entry points — ``from_dict`` /
-    ``build`` / ``loads`` / ``load`` — not in ``__post_init__``, so a
+    ``build`` / ``load`` — not in ``__post_init__``, so a
     direct dataclass call skips every cross-field schema check (protocol
     resilience bounds, adversary applicability, event-only network
     knobs).  Downstream consumers (campaign runner, corpus, shrinker, CI
@@ -625,7 +625,7 @@ class ScenarioBypassesSchema(Rule):
                 yield self.finding(
                     ctx, node,
                     "Scenario(...) called directly; use Scenario.from_dict /"
-                    " build / loads / load so the spec is schema-validated",
+                    " build / load so the spec is schema-validated",
                 )
 
 

@@ -32,12 +32,6 @@ class MeasurementBudget:
     distribution_samples: int = 400
     samples_per_point: int = 60
 
-    def scaled(self, factor: float) -> "MeasurementBudget":
-        return MeasurementBudget(
-            distribution_samples=max(10, int(self.distribution_samples * factor)),
-            samples_per_point=max(5, int(self.samples_per_point * factor)),
-        )
-
 
 def measure(
     definition: str,

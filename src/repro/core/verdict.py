@@ -38,10 +38,6 @@ class IndependenceReport:
     def violated(self) -> bool:
         return self.decision == Decision.VIOLATED
 
-    @property
-    def consistent(self) -> bool:
-        return self.decision == Decision.CONSISTENT
-
     def summary(self) -> str:
         return (
             f"{self.definition}: gap={self.gap:.4f}±{self.error:.4f} "

@@ -6,8 +6,8 @@ protocols differ in which flavour they need:
 * :class:`PedersenCommitment` — perfectly hiding, computationally binding
   under discrete log; used by Pedersen VSS.
 * :class:`TrapdoorCommitment` — a Pedersen commitment whose setup exposes
-  the trapdoor ``log_g(h)``; the simulator for the Gennaro-style CRS
-  protocol uses the trapdoor to equivocate.
+  the trapdoor ``log_g(h)``, with which the simulator of the Gennaro-style
+  CRS protocol's proof could equivocate; the runs only need it to exist.
 
 A commitment is a pair (commit message, opening); ``verify`` checks an
 opening against a commit message.
@@ -146,10 +146,6 @@ class PedersenCommitment:
             raise CommitmentError("Pedersen commitment failed to verify")
         return opening.value
 
-    def combine(self, left: GroupElement, right: GroupElement) -> GroupElement:
-        """Homomorphic combination: Com(m1, r1) * Com(m2, r2) = Com(m1+m2, r1+r2)."""
-        return left * right
-
 
 class TrapdoorCommitment(PedersenCommitment):
     """A Pedersen commitment with a known trapdoor t = log_g(h).
@@ -171,10 +167,3 @@ class TrapdoorCommitment(PedersenCommitment):
         )
         super().__init__(parameters)
         self.trapdoor = trapdoor
-
-    def equivocate(self, opening: Opening, new_value: int) -> Opening:
-        """Produce an opening of the same commitment to ``new_value``."""
-        q = self.group.q
-        delta = (int(opening.value) - int(new_value)) % q
-        new_randomness = (opening.randomness + delta * pow(self.trapdoor, -1, q)) % q
-        return Opening(int(new_value) % q, new_randomness)

@@ -176,9 +176,6 @@ class SchnorrGroup:
     def generator(self) -> GroupElement:
         return GroupElement(self, self._generator_value)
 
-    def identity(self) -> GroupElement:
-        return GroupElement(self, 1)
-
     def element(self, value: int) -> GroupElement:
         """Wrap an integer already known to be a subgroup member."""
         reduced = value % self.p
@@ -206,9 +203,6 @@ class SchnorrGroup:
 
     def random_exponent(self, rng) -> int:
         return rng.randrange(self.q)
-
-    def random_element(self, rng) -> GroupElement:
-        return self.power(self.random_exponent(rng))
 
     def hash_to_element(self, seed: bytes) -> GroupElement:
         """Derive a subgroup element from a seed with unknown discrete log.

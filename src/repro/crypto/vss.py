@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .. import fastpath
-from ..errors import InvalidParameterError, ShareError
+from ..errors import ShareError
 from ..obs import runtime as _obs
 from .commitment import PedersenCommitment, PedersenParameters
 from .field import FieldElement
@@ -215,12 +215,6 @@ class FeldmanVSS(_VerifiableSharing):
             == fastpath.vss_expected(group.p, group.q, commitment_values, x)
             for x, value in zip(xs, values, strict=True)
         ]
-
-    def commitment_to_secret(self, commitments: Sequence[GroupElement]) -> GroupElement:
-        """The implied commitment g^s to the shared secret (x = 0)."""
-        if not commitments:
-            raise InvalidParameterError("empty commitment vector")
-        return commitments[0]
 
 
 class PedersenVSS(_VerifiableSharing):

@@ -8,7 +8,6 @@ from .classes import (
     SINGLETON,
     UNIFORM,
     DistributionClass,
-    representatives,
 )
 from .correlated import (
     all_equal,
@@ -27,7 +26,6 @@ __all__ = [
     "PSI_L",
     "SINGLETON",
     "UNIFORM",
-    "representatives",
     "uniform",
     "singleton",
     "bernoulli_product",

@@ -14,7 +14,6 @@ fixed-n setting.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -173,9 +172,6 @@ class Distribution:
     def is_trivial(self, tolerance: float = 1e-9) -> bool:
         """Statistically close to a singleton (the paper's "trivial")."""
         return max(self.probs.values()) >= 1.0 - tolerance
-
-    def shannon_entropy(self) -> float:
-        return -sum(p * math.log2(p) for p in self.probs.values() if p > 0)
 
     def __repr__(self) -> str:
         return f"Distribution({self.name}, n={self.n}, support={len(self.probs)})"

@@ -26,11 +26,10 @@ is regenerated empirically by E-C56 (:mod:`repro.experiments.claim56`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable
 
 from .base import Distribution
-from .correlated import all_equal, near_product_mixture, parity
-from .standard import bernoulli_product, singleton, uniform
+from .standard import uniform
 
 DEFAULT_TOLERANCE = 1e-6
 PSI_C_TOLERANCE = 0.25  # admits δ-mixtures with δ below this, rejects parity/all-equal
@@ -85,17 +84,3 @@ PSI_C = DistributionClass(
 )
 ALL = DistributionClass("All = D(Sb)", "all input distributions", lambda _d: True)
 
-
-def representatives(n: int) -> Dict[str, List[Distribution]]:
-    """Representative members per class, used by the experiment harness."""
-    return {
-        "Singleton": [singleton([0] * n), singleton([1] + [0] * (n - 1))],
-        "Uniform": [uniform(n)],
-        "D(G)": [
-            uniform(n),
-            bernoulli_product([0.3] + [0.5] * (n - 1)),
-            bernoulli_product([0.7, 0.2] + [0.5] * (n - 2)),
-        ],
-        "D(CR)": [near_product_mixture(n, delta=0.1)],
-        "All": [parity(n), all_equal(n)],
-    }

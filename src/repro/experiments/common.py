@@ -19,7 +19,6 @@ from ..adversaries import (
     SequentialCopier,
     XorAttacker,
 )
-from ..core import MeasurementBudget
 from ..protocols import PiGBroadcast, SequentialBroadcast
 from ..scenario.registry import build_protocol
 
@@ -44,9 +43,6 @@ class ExperimentConfig:
 
     def rng(self, salt: int = 0) -> random.Random:
         return random.Random(self.seed * 1_000_003 + salt)
-
-    def budget(self) -> MeasurementBudget:
-        return MeasurementBudget().scaled(self.scale)
 
     def samples(self, base: int, floor: int = 10) -> int:
         return max(floor, int(base * self.scale))

@@ -55,7 +55,7 @@ def measure_protocol(
     ``aggregate`` is given, the run's full registry is folded into it.
     """
     # Keep an already-enabled ambient tracer through the measurement scope
-    # so `repro obs export E-COST` sees the protocol-level spans too.
+    # so `repro --trace T experiments E-COST` sees the protocol-level spans too.
     ambient_tracer = runtime.tracer if runtime.tracer.enabled else None
     with runtime.observed(tracer=ambient_tracer, metrics=Metrics()) as (_, metrics):
         execution = protocol.run([i % 2 for i in range(n)], seed=seed)

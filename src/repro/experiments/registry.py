@@ -113,7 +113,7 @@ def run_experiment(
         start = time.perf_counter()
         # Scope a fresh metrics registry but keep an already-enabled ambient
         # tracer installed (observed() would otherwise swap in the no-op
-        # tracer) — this is what lets `repro obs export` capture spans from
+        # tracer) — this is what lets `repro --trace` capture spans from
         # a full experiment run.
         ambient_tracer = (
             _obs_runtime.tracer if _obs_runtime.tracer.enabled else None

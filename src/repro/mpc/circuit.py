@@ -107,10 +107,6 @@ class Circuit:
     def size(self) -> int:
         return len(self.gates)
 
-    @property
-    def multiplication_count(self) -> int:
-        return sum(1 for gate in self.gates if gate.op == MUL)
-
     def input_wires(self) -> List[Tuple[int, str, int]]:
         """All input wires as (owner, name, gate_id), in declaration order."""
         return [

@@ -37,7 +37,6 @@ class Adversary:
         # decouple pre-setup draws from the run's reproducibility story.
         self.rng: Optional[random.Random] = None
         self.corrupted_inputs: Dict[int, Any] = {}
-        self._observed: List[Message] = []
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -59,8 +58,8 @@ class Adversary:
         self.session = session
 
     def observe(self, round_number: int, traffic: Sequence[Message]) -> None:
-        """See all messages sent in a round (honest and corrupted)."""
-        self._observed.extend(traffic)
+        """See all messages sent in a round (honest and corrupted); a hook
+        for attacks that read the channels, so the base keeps nothing."""
 
     def act(
         self, round_number: int, rushed: Mapping[int, Inbox]
@@ -75,12 +74,6 @@ class Adversary:
     def finish(self) -> Any:
         """The adversary's own output, recorded in the Exec vector."""
         return None
-
-    # -- helpers ------------------------------------------------------------------
-
-    @property
-    def observed_messages(self) -> List[Message]:
-        return list(self._observed)
 
 
 class PassiveAdversary(Adversary):

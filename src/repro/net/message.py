@@ -72,9 +72,9 @@ class Inbox:
     """The messages delivered to one party at the start of a round.
 
     Per-sender lookups go through an index built on the first
-    :meth:`from_sender` / :meth:`first_from` call (each sender's messages
-    in inbox order), so a party reading every sender's messages walks the
-    inbox once, not once per sender.
+    :meth:`first_from` call (each sender's messages in inbox order), so a
+    party reading every sender's messages walks the inbox once, not once
+    per sender.
     """
 
     __slots__ = ("_messages", "_by_sender")
@@ -106,12 +106,6 @@ class Inbox:
 
     def all(self) -> Tuple[Message, ...]:
         return tuple(self._messages)
-
-    def from_sender(self, sender: int, tag: Optional[str] = None) -> List[Message]:
-        messages = self._sender_index().get(sender, ())
-        if tag is None:
-            return list(messages)
-        return [m for m in messages if m.tag == tag]
 
     def first_from(self, sender: int, tag: Optional[str] = None) -> Optional[Message]:
         for message in self._sender_index().get(sender, ()):

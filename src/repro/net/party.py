@@ -46,9 +46,6 @@ class PartyContext:
     def others(self) -> List[int]:
         return [i for i in range(1, self.n + 1) if i != self.party_id]
 
-    def all_parties(self) -> List[int]:
-        return list(range(1, self.n + 1))
-
 
 @dataclass
 class PartyState:

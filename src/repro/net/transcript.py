@@ -86,28 +86,8 @@ class Execution:
         parties = tuple(self.outputs.get(i) for i in range(1, self.n + 1))
         return (self.adversary_output,) + parties
 
-    def honest_output(self, party: int) -> Any:
-        if party in self.corrupted:
-            raise ConsistencyError(f"party {party} is corrupted; it has no honest output")
-        return self.outputs.get(party)
-
-    def messages_in_round(self, round_number: int) -> List[Message]:
-        for record in self.rounds:
-            if record.round == round_number:
-                return list(record.messages)
-        return []
-
     def all_messages(self) -> List[Message]:
         return [m for record in self.rounds for m in record.messages]
-
-    def broadcast_history(self) -> List[Tuple[int, int, Any]]:
-        """All broadcast-channel traffic as (round, sender, payload)."""
-        return [
-            (record.round, m.sender, m.payload)
-            for record in self.rounds
-            for m in record.messages
-            if m.is_broadcast
-        ]
 
     # -- parallel-broadcast helpers (Definition 3.1) -------------------------------
 

@@ -3,22 +3,22 @@
 * :func:`chrome_trace` turns :class:`~repro.obs.tracer.Tracer` records
   into the Chrome trace-event JSON format — load the file in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing`` to see the span tree
-  on a timeline.  This is the one way spans leave a process;
-* :func:`timeline` / :func:`timeline_html` render any
-  :class:`~repro.net.transcript.Execution` as a per-round message-flow
-  table (who sent what to whom, faults inline).
+  on a timeline.  This is the one way spans leave a process, and
+  ``python -m repro --trace FILE <command>`` writes it for any command;
+* :func:`timeline` renders any :class:`~repro.net.transcript.Execution`
+  as a per-round message-flow table (who sent what to whom, faults
+  inline).
 
 Counters have no exporter here: every :class:`~repro.obs.metrics.Metrics`
 counter and histogram an experiment records already leaves in its
 ``--json`` artifact (``ExperimentResult.to_json_dict``), which
-``diffjson`` gates.  The fastpath kernels' process-local telemetry leaves
-only through :func:`repro.fastpath.stats`.
+``diffjson`` gates.  The fastpath kernels' process-local telemetry rides
+in the trace file's ``metadata`` (see ``--trace``), never in an artifact.
 """
 
 from __future__ import annotations
 
 import json
-from html import escape
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -33,12 +33,12 @@ def chrome_trace(
 ) -> Dict[str, Any]:
     """Convert tracer records into a Chrome trace-event JSON object.
 
-    Spans become complete ("X") events and events become instants ("i"),
-    all on one thread track per shard — the viewer reconstructs nesting
-    from the timestamps, which is exactly what the tracer's start/end
-    pairs encode.  Records folded in from parallel shards (see
-    :meth:`repro.obs.Tracer.fold`) keep their own epoch, so each shard
-    gets its own thread id to keep its timeline internally consistent.
+    Spans become complete ("X") events and events become instants ("i").
+    The viewer reconstructs nesting from the timestamps, which is exactly
+    what the tracer's start/end pairs encode, so each thread track must
+    hold properly nested spans: the coordinator's records go on thread 1,
+    and records folded in from a pool worker (see
+    :meth:`repro.obs.Tracer.fold`) on a thread named by its pid.
     """
     events: List[Dict[str, Any]] = [
         {
@@ -50,8 +50,8 @@ def chrome_trace(
         }
     ]
     for record in records:
-        tid = 2 if record.get("shard") else 1
-        kind = record.get("type") or str(record.get("kind", "")).removeprefix("trace.")
+        tid = record.get("shard", 1)
+        kind = record["type"]
         if kind == "span":
             events.append(
                 {
@@ -82,11 +82,22 @@ def chrome_trace(
 
 
 def write_chrome_trace(
-    path, records: Iterable[Mapping[str, Any]], process_name: str = "repro"
+    path,
+    records: Iterable[Mapping[str, Any]],
+    process_name: str = "repro",
+    *,
+    metadata: Optional[Mapping[str, Any]] = None,
 ) -> None:
-    """Dump :func:`chrome_trace` as a Perfetto-loadable ``.json`` file."""
+    """Dump :func:`chrome_trace` as a Perfetto-loadable ``.json`` file.
+
+    ``metadata`` lands under the trace's ``"metadata"`` key, which trace
+    viewers show beside the timeline and otherwise ignore.
+    """
+    trace = chrome_trace(records, process_name=process_name)
+    if metadata is not None:
+        trace["metadata"] = dict(metadata)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(chrome_trace(records, process_name=process_name), handle, indent=1)
+        json.dump(trace, handle, indent=1)
         handle.write("\n")
 
 
@@ -142,59 +153,3 @@ def timeline(execution, max_rounds: Optional[int] = None) -> str:
     if max_rounds is not None and len(execution.rounds) > max_rounds:
         lines.append(f"... {len(execution.rounds) - max_rounds} more round(s)")
     return "\n".join(lines) + "\n"
-
-
-_HTML_PAGE = """<!doctype html>
-<html><head><meta charset="utf-8"><title>{title}</title>
-<style>
-body {{ font: 14px/1.4 system-ui, sans-serif; margin: 2em; }}
-table {{ border-collapse: collapse; }}
-th, td {{ border: 1px solid #ccc; padding: 4px 10px; vertical-align: top; text-align: left; }}
-th {{ background: #f2f2f2; }}
-.fault {{ color: #b00; }}
-.broadcast {{ font-weight: bold; }}
-</style></head><body>
-<h1>{title}</h1>
-<p>n={n}, corrupted={corrupted}, rounds={rounds}, seed={seed}{timed_out}</p>
-<table>
-<tr><th>round</th><th>message flows</th><th>faults</th></tr>
-{rows}
-</table></body></html>
-"""
-
-
-def timeline_html(execution, title: str = "repro execution timeline") -> str:
-    """The same per-round flow table as :func:`timeline`, as standalone HTML."""
-    faults_by_round: Dict[int, List[Any]] = {}
-    for fault in execution.faults:
-        faults_by_round.setdefault(fault.round, []).append(fault)
-    rows = []
-    for record in execution.rounds:
-        flows = []
-        for sender, recipient, tag, count in _round_flows(record.messages):
-            suffix = f" ×{count}" if count > 1 else ""
-            cls = ' class="broadcast"' if recipient == "*" else ""
-            flows.append(
-                f"<div{cls}>{escape(sender)} → {escape(recipient)} : "
-                f"{escape(tag)}{suffix}</div>"
-            )
-        faults = []
-        for fault in faults_by_round.get(record.round, []):
-            recipient = "*" if fault.recipient == -1 else fault.recipient
-            faults.append(
-                f'<div class="fault">{escape(fault.kind)} {fault.sender} → '
-                f"{recipient} : {escape(fault.tag)}</div>"
-            )
-        rows.append(
-            f"<tr><td>{record.round}</td><td>{''.join(flows)}</td>"
-            f"<td>{''.join(faults)}</td></tr>"
-        )
-    return _HTML_PAGE.format(
-        title=escape(title),
-        n=execution.n,
-        corrupted=escape(str(sorted(execution.corrupted))),
-        rounds=execution.round_count,
-        seed=execution.seed,
-        timed_out=" — <strong>timed out</strong>" if execution.timed_out else "",
-        rows="\n".join(rows),
-    )

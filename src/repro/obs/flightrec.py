@@ -1,8 +1,8 @@
 """The execution flight recorder: a bounded ring buffer you can leave on.
 
 A :class:`FlightRecorder` retains the *last N* observability records seen
-by this process — tracer spans and events, scheduler round summaries,
-per-message routing entries, and injected
+by this process — run headers, scheduler round, timeout and omission
+summaries, per-message routing entries, and injected
 :class:`~repro.faults.injector.FaultRecord` entries — in a fixed-size
 ring (``collections.deque(maxlen=N)``), so its memory and per-record
 cost are constant no matter how long the run.  It is the post-mortem
@@ -25,11 +25,14 @@ Lifecycle mirrors the rest of the switchboard: **off by default**
 (every hook guards on ``_obs.flightrec is not None``, one attribute
 load + identity test), installed process-wide for the span of a
 :func:`recording` block.  Parallel shards record into their own
-ring (workers inherit "flight recording is on" via the engine's task
-flag), ship their buffer back with the shard payload, and the
-coordinator grafts it in with :meth:`FlightRecorder.fold` — the same
-reduction path :meth:`repro.obs.Tracer.fold` and
-:meth:`repro.obs.Metrics.merge` use.
+ring (each task carries the coordinator recorder's dump directory, so a
+shard's dumps land beside the coordinator's), ship their buffer back
+with the shard payload, and the coordinator grafts it in with
+:meth:`FlightRecorder.fold` — the same reduction path
+:meth:`repro.obs.Tracer.fold` and :meth:`repro.obs.Metrics.merge` use.
+The recorder keeps its own records: the tracer's spans and events are
+not copied into the ring, because every tracer event in the tree already
+has a recorder twin.
 
 Snapshots are diagnostic artifacts only: they carry wall-clock
 timestamps and are written *next to* — never inside — the
@@ -48,7 +51,6 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional
 
 from .metrics import jsonable
-from .tracer import Tracer
 
 #: Ring capacity when the caller does not choose one.  Sized so a dump
 #: spans several rounds of a mid-size protocol (n=10 is ~100 messages a
@@ -113,13 +115,6 @@ class FlightRecorder:
         self.buffer.append(record)
         self.pushed += 1
 
-    def push_record(self, record: Dict[str, Any]) -> None:
-        """Mirror a pre-built tracer record (span close / event) into the ring."""
-        mirrored = dict(record)
-        mirrored["kind"] = f"trace.{mirrored.pop('type', 'record')}"
-        self.buffer.append(mirrored)
-        self.pushed += 1
-
     def record_message(self, round_number: int, message: Any) -> None:
         """One routing entry per wire message: who → whom, which tag."""
         self.push(
@@ -176,12 +171,16 @@ class FlightRecorder:
 
         Line 1 is a header record (``kind: "flightrec.header"``) carrying
         the dump reason, ring statistics, and any caller context; every
-        following line is one buffered record, oldest first.
+        following line is one buffered record, oldest first.  A dump
+        named by the recorder never overwrites an earlier one: a recorder
+        with the same run id (one per task on a pool worker) may have
+        written it, so the sequence number moves on to a free name.
         """
-        self._dump_seq += 1
         if path is None:
-            name = f"flightrec_{self.run_id}_{self._dump_seq:03d}.jsonl"
-            path = os.path.join(self.dump_dir, name)
+            while path is None or os.path.exists(path):
+                self._dump_seq += 1
+                name = f"flightrec_{self.run_id}_{self._dump_seq:03d}.jsonl"
+                path = os.path.join(self.dump_dir, name)
         header = {
             "kind": "flightrec.header",
             "reason": reason,
@@ -246,12 +245,10 @@ def recording(
     previous = active()
     recorder = FlightRecorder(capacity=capacity, run_id=run_id, dump_dir=dump_dir)
     _install(recorder)
-    Tracer.flight_tap = recorder
     try:
         yield recorder
     finally:
         _install(previous)
-        Tracer.flight_tap = previous
 
 
 def dump_if_active(reason: str, **context: Any) -> Optional[str]:

@@ -109,13 +109,6 @@ class Metrics:
     def get(self, name: str, default: float = 0) -> float:
         return self.counters.get(name, default)
 
-    def counters_with_prefix(self, prefix: str) -> Dict[str, float]:
-        return {
-            name: value
-            for name, value in self.counters.items()
-            if name.startswith(prefix)
-        }
-
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-serializable snapshot of every counter and histogram."""
         return {

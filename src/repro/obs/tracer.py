@@ -72,30 +72,28 @@ class _SpanHandle:
             "attrs": jsonable(attrs),
         }
         tracer.records.append(record)
-        tap = Tracer.flight_tap
-        if tap is not None:
-            tap.push_record(record)
 
 
 class Tracer:
-    """Collects spans and events for one observed run."""
+    """Collects spans and events for one observed run.
+
+    ``epoch`` is the clock reading that timestamps count from (default:
+    now).  A pool worker passes its coordinator's, so the records it ships
+    back already sit on the coordinator's timeline.
+    """
 
     enabled = True
 
-    #: When a :class:`repro.obs.flightrec.FlightRecorder` is enabled it
-    #: registers itself here, and every closed span / recorded event is
-    #: mirrored into its ring.  A class attribute (not an import) so the
-    #: tracer stays importable before the recorder module loads.
-    flight_tap = None
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
+    def __init__(
+        self, clock: Optional[Callable[[], float]] = None, epoch: Optional[float] = None
+    ):
         self._clock = clock or time.perf_counter
-        self._epoch = self._clock()
+        self.epoch = self._clock() if epoch is None else epoch
         self._stack: List[str] = []
         self.records: List[Dict[str, Any]] = []
 
     def _now(self) -> float:
-        return self._clock() - self._epoch
+        return self._clock() - self.epoch
 
     # -- recording ---------------------------------------------------------------
 
@@ -113,25 +111,23 @@ class Tracer:
             "attrs": jsonable(attrs),
         }
         self.records.append(record)
-        tap = Tracer.flight_tap
-        if tap is not None:
-            tap.push_record(record)
 
-    def fold(self, records: List[Dict[str, Any]]) -> None:
+    def fold(self, records: List[Dict[str, Any]], shard: int) -> None:
         """Graft records captured by *another* tracer under the current path.
 
         This is the cross-process reduction step used by
         :mod:`repro.parallel`: worker processes trace into their own
-        :class:`Tracer`, ship ``records`` back (they are plain dicts, so they
-        pickle), and the coordinator folds them in shard order.  Paths and
-        depths are re-rooted at the coordinator's current span; timestamps
-        keep the worker tracer's epoch (they remain comparable *within* a
-        shard, which is what span durations need).
+        :class:`Tracer` (timed from this tracer's :attr:`epoch`), ship
+        ``records`` back (they are plain dicts, so they pickle), and the
+        coordinator folds them in task order.  Paths and depths are
+        re-rooted at the coordinator's current span, and every folded
+        record is marked ``shard`` (the worker's pid): a worker runs its
+        tasks one at a time, so its spans nest on one track of their own.
         """
         base_path = "/".join(self._stack)
         base_depth = len(self._stack)
         for record in records:
-            folded = dict(record)
+            folded = dict(record, shard=shard)
             if base_path:
                 child_path = record.get("path", "")
                 folded["path"] = f"{base_path}/{child_path}" if child_path else base_path
@@ -140,10 +136,6 @@ class Tracer:
             self.records.append(folded)
 
     # -- reading -----------------------------------------------------------------
-
-    @property
-    def current_depth(self) -> int:
-        return len(self._stack)
 
     def spans(self, name: Optional[str] = None) -> List[Dict[str, Any]]:
         return [
@@ -193,14 +185,8 @@ class NoopTracer:
     def event(self, name: str, **attrs: Any) -> None:
         return None
 
-    def fold(self, records: list) -> None:
+    def fold(self, records: list, shard: int) -> None:
         return None
-
-    def spans(self, name: Optional[str] = None) -> list:
-        return []
-
-    def events(self, name: Optional[str] = None) -> list:
-        return []
 
     def __repr__(self) -> str:
         return "NoopTracer()"

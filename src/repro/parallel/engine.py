@@ -10,11 +10,12 @@ rules make a parallel run *bit-identical* to a serial one:
   across workers cannot influence any drawn sample;
 * **observability folds in submission order** — each worker executes its
   task under a fresh :class:`repro.obs.Metrics` registry (and, when the
-  coordinator is tracing, a fresh :class:`repro.obs.Tracer`), ships the
-  captured registry back with the payload, and the coordinator merges the
-  registries into the ambient one in task order.  Counter sums, histogram
-  merges, and span folds are order-insensitive in aggregate, so the
-  coordinator's registry ends up equal to what an inline run records.
+  coordinator is tracing, a fresh :class:`repro.obs.Tracer` timed from the
+  coordinator tracer's epoch), ships the captured registry back with the
+  payload, and the coordinator merges the registries into the ambient one
+  in task order.  Counter sums, histogram merges, and span folds are
+  order-insensitive in aggregate, so the coordinator's registry ends up
+  equal to what an inline run records.
 
 The worker entry point (:func:`_run_shard`) is a module-level function so
 it pickles under every multiprocessing start method.
@@ -53,25 +54,38 @@ def normalize_jobs(jobs: Any) -> int:
 
 @dataclass
 class ShardOutcome:
-    """What one worker ships back: the payload plus its captured observations."""
+    """What one worker ships back: the payload, the worker's pid and its
+    captured observations."""
 
     payload: Any
+    pid: int
     metrics: Metrics = field(default_factory=Metrics)
     trace_records: List[Dict[str, Any]] = field(default_factory=list)
     flight_records: List[Dict[str, Any]] = field(default_factory=list)
 
 
-def _run_shard(task: Tuple[Callable[..., Any], Tuple[Any, ...], bool, bool]) -> ShardOutcome:
-    """Worker entry point: run one task under a fresh observation scope."""
-    fn, args, trace, flight = task
-    tracer = Tracer() if trace else None
+def _run_shard(
+    task: Tuple[Callable[..., Any], Tuple[Any, ...], Optional[float], Optional[str]],
+) -> ShardOutcome:
+    """Worker entry point: run one task under a fresh observation scope.
+
+    ``task`` is the function, its arguments, the coordinator tracer's epoch
+    (``None`` when it is not tracing) and the coordinator recorder's dump
+    directory (``None`` when flight recording is off).
+    """
+    fn, args, epoch, dump_dir = task
+    pid = os.getpid()
+    # perf_counter is a system-wide monotonic clock, so timing from the
+    # coordinator's epoch puts these records on the coordinator's timeline.
+    tracer = Tracer(epoch=epoch) if epoch is not None else None
     flight_records: List[Dict[str, Any]] = []
     with _obs_runtime.observed(tracer=tracer, metrics=Metrics()) as (_, metrics):
-        if flight:
+        if dump_dir is not None:
             # The coordinator's recorder is on: give this shard its own
             # ring (a fork child would otherwise append to an inherited
-            # copy nobody reads) and ship the buffer back for folding.
-            with _flightrec.recording(run_id=f"shard-pid{os.getpid()}") as recorder:
+            # copy nobody reads), dumping where the coordinator's does, and
+            # ship the buffer back for folding.
+            with _flightrec.recording(run_id=f"shard-pid{pid}", dump_dir=dump_dir) as recorder:
                 payload = fn(*args)
             flight_records = recorder.snapshot()
         else:
@@ -79,6 +93,7 @@ def _run_shard(task: Tuple[Callable[..., Any], Tuple[Any, ...], bool, bool]) -> 
     records = list(tracer.records) if tracer is not None else []
     return ShardOutcome(
         payload=payload,
+        pid=pid,
         metrics=metrics,
         trace_records=records,
         flight_records=flight_records,
@@ -163,9 +178,10 @@ class ExperimentEngine:
         if self.jobs == 1 or len(tasks) <= 1:
             return [fn(*args) for args in tasks]
 
-        trace = _obs_runtime.tracer.enabled
-        flight = _obs_runtime.flightrec is not None
-        shard_tasks = [(fn, tuple(args), trace, flight) for args in tasks]
+        tracer, recorder = _obs_runtime.tracer, _obs_runtime.flightrec
+        epoch = tracer.epoch if tracer.enabled else None
+        dump_dir = recorder.dump_dir if recorder is not None else None
+        shard_tasks = [(fn, tuple(args), epoch, dump_dir) for args in tasks]
         try:
             outcomes = list(self._ensure_pool().map(_run_shard, shard_tasks))
         except BrokenProcessPool as exc:
@@ -174,12 +190,11 @@ class ExperimentEngine:
             raise ExperimentError(f"a pool worker died: {exc}") from exc
 
         ambient = _obs_runtime.metrics
-        recorder = _obs_runtime.flightrec
         for outcome in outcomes:
             if ambient is not None:
                 ambient.merge(outcome.metrics)
-            if trace and outcome.trace_records:
-                _obs_runtime.tracer.fold(outcome.trace_records)
+            if outcome.trace_records:
+                tracer.fold(outcome.trace_records, shard=outcome.pid)
             if recorder is not None and outcome.flight_records:
                 recorder.fold(outcome.flight_records)
         return [outcome.payload for outcome in outcomes]

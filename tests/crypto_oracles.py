@@ -42,7 +42,7 @@ def vss_expected(
     group: SchnorrGroup, commitments: Sequence[GroupElement], x: int
 ) -> GroupElement:
     """``prod_j commitments[j] ** (x**j mod q)``, one ``pow`` per commitment."""
-    expected = group.identity()
+    expected = GroupElement(group, 1)
     x_power = 1
     for commitment in commitments:
         expected = expected * group_exp(commitment, x_power)

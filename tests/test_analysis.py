@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     Decision,
-    TrendVerdict,
     assess_trend,
     decide,
     empirical_tv,

@@ -52,7 +52,7 @@ def test_campaign_help_lists_its_subcommands(capsys):
 
 def test_every_command_defaults_to_one_worker_per_cpu():
     parser = build_parser()
-    for command in (["experiments"], ["obs", "export"], ["campaign"]):
+    for command in (["experiments"], ["campaign"]):
         assert parser.parse_args(command).jobs == default_jobs()
 
 

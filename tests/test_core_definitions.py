@@ -334,8 +334,3 @@ class TestMeasureAndGrid:
         report = measure("CR", protocol, UNIFORM, suite, rng(), budget)
         assert report.violated
         assert "copier" in report.witness
-
-    def test_budget_scaling(self):
-        budget = MeasurementBudget(100, 50).scaled(0.1)
-        assert budget.distribution_samples == 10
-        assert budget.samples_per_point == 5

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.field import (
-    FieldElement,
-    PrimeField,
-    is_probable_prime,
-    next_prime,
-)
+from repro.crypto.field import PrimeField, is_probable_prime, next_prime
 from repro.errors import InvalidParameterError
 
 F97 = PrimeField(97)

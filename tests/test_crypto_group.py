@@ -1,7 +1,5 @@
 """Tests for Schnorr groups and deterministic parameter generation."""
 
-import random
-
 import pytest
 
 from repro.crypto.field import is_probable_prime
@@ -46,8 +44,8 @@ class TestParameterGeneration:
 class TestGroupStructure:
     def test_generator_has_order_q(self):
         g = GROUP.generator
-        assert g ** GROUP.q == GROUP.identity()
-        assert g != GROUP.identity()
+        assert int(g ** GROUP.q) == 1
+        assert int(g) != 1
 
     def test_membership(self):
         assert GROUP.is_member(int(GROUP.generator))
@@ -70,18 +68,12 @@ class TestGroupStructure:
         assert g ** (GROUP.q + 3) == g ** 3
 
     def test_power_of_identity_exponent(self):
-        assert GROUP.power(0) == GROUP.identity()
+        assert int(GROUP.power(0)) == 1
 
     def test_mixing_groups_rejected(self):
         other = SchnorrGroup.for_security(16)
         with pytest.raises(InvalidParameterError):
             GROUP.generator * other.generator
-
-    def test_random_element_is_member(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            element = GROUP.random_element(rng)
-            assert GROUP.is_member(int(element))
 
     def test_hash_to_element_member_and_deterministic(self):
         h1 = GROUP.hash_to_element(b"seed")

@@ -132,12 +132,9 @@ class TestFeldmanVSS:
             self.vss.reconstruct(dealing.commitments, shares)
 
     def test_commitment_to_secret_is_g_to_s(self):
+        # The constant term's commitment is the implied commitment g^s.
         dealing = self.vss.deal(7, random.Random(5))
-        assert self.vss.commitment_to_secret(dealing.commitments) == GROUP.power(7)
-
-    def test_commitment_to_secret_empty_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            self.vss.commitment_to_secret([])
+        assert dealing.commitments[0] == GROUP.power(7)
 
     @given(st.integers(min_value=0, max_value=1), st.integers(min_value=0, max_value=20))
     @settings(max_examples=20, deadline=None)

@@ -4,8 +4,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.distributions import (
     ALL,
@@ -20,7 +18,6 @@ from repro.distributions import (
     near_product_mixture,
     noisy_copy,
     parity,
-    representatives,
     singleton,
     uniform,
 )
@@ -92,11 +89,6 @@ class TestDistributionCore:
     def test_tv_dimension_mismatch(self):
         with pytest.raises(DistributionError):
             uniform(2).tv_distance(uniform(3))
-
-    def test_entropy(self):
-        assert uniform(3).shannon_entropy() == pytest.approx(3.0)
-        assert singleton([1, 0]).shannon_entropy() == pytest.approx(0.0)
-        assert all_equal(4).shannon_entropy() == pytest.approx(1.0)
 
     def test_is_trivial(self):
         assert singleton([1, 1]).is_trivial()
@@ -186,12 +178,3 @@ class TestClasses:
 
     def test_all_equal_outside_psi_c(self):
         assert not PSI_C.contains(all_equal(4))
-
-    def test_representatives_belong_to_their_classes(self):
-        reps = representatives(4)
-        for d in reps["D(G)"]:
-            assert PSI_L.contains(d)
-        for d in reps["D(CR)"]:
-            assert PSI_C.contains(d)
-        for d in reps["Singleton"]:
-            assert SINGLETON.contains(d)

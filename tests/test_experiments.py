@@ -60,11 +60,6 @@ class TestConfig:
         assert config.samples(1000) == 100
         assert config.samples(1000, floor=500) == 500
 
-    def test_budget_scaled(self):
-        config = ExperimentConfig(scale=0.5)
-        budget = config.budget()
-        assert budget.distribution_samples == 200
-
 
 class TestResultRendering:
     def test_render_includes_status_and_notes(self):

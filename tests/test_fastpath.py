@@ -252,7 +252,7 @@ def test_exponent_normalization_negative_and_oversized():
     g = group.generator
     assert g ** -1 == g ** (group.q - 1)
     assert g ** (group.q + 5) == g**5
-    assert g**0 == group.identity()
+    assert int(g**0) == 1
     assert group.power(-3) == group.power(group.q - 3)
     element = group.exponent_field.element(7)
     assert g**element == g**7  # FieldElement exponents normalize too

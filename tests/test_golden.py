@@ -5,8 +5,8 @@
 diffs a full serial run against it with ``python -m repro diffjson``; here
 the fast experiments are re-run and compared by the same rules (wall-clock
 fields stripped, NaN equal to NaN), so counter drift fails plain pytest.
-``obs export`` writes the same artifact with tracing on, and it must match
-too.
+A ``--trace`` run with the flight recorder on writes the same artifact,
+and it must match too.
 
 A change that moves an artifact on purpose regenerates only the ids it
 changes, with the command above followed by those ids.
@@ -21,6 +21,7 @@ import pytest
 from repro.__main__ import main
 from repro.experiments import REGISTRY
 from repro.experiments.diffjson import compare_dirs
+from repro.obs import flightrec
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "results" / "golden"
 
@@ -55,16 +56,16 @@ def test_fast_experiments_match_their_golden_artifacts(tmp_path, monkeypatch, ca
 
 
 def test_traced_export_writes_the_golden_artifact(tmp_path):
-    # `obs export` runs with the tracer and flight recorder on and a pool
-    # of workers; tracing must not move a single artifact field.
-    out, golden = tmp_path / "out", tmp_path / "golden"
+    # The tracer and flight recorder on and a pool of workers: tracing must
+    # not move a single artifact field.
+    fresh, golden = tmp_path / "fresh", tmp_path / "golden"
     golden.mkdir()
     shutil.copy(GOLDEN / "E-RND.json", golden)
-    argv = ["obs", "export", "E-RND", "--scale", "0.15", "--jobs", "2", "--out", str(out)]
-    assert main(argv) == 0
-    fresh = tmp_path / "fresh"
-    fresh.mkdir()
-    shutil.copy(out / "E-RND.json", fresh)
+    trace = tmp_path / "trace.json"
+    argv = ["experiments", "E-RND", "--scale", "0.15", "--jobs", "2", "--json", str(fresh)]
+    with flightrec.recording(dump_dir=str(tmp_path / "dumps")):
+        assert main(["--trace", str(trace), *argv]) == 0
+    assert trace.exists()
     diffs = compare_dirs(str(golden), str(fresh))
     if diffs:
-        pytest.fail("traced export drifts from results/golden:\n" + "\n".join(diffs))
+        pytest.fail("traced run drifts from results/golden:\n" + "\n".join(diffs))

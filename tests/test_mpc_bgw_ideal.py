@@ -6,10 +6,9 @@ import pytest
 
 from repro.crypto.field import PrimeField
 from repro.errors import InvalidParameterError, ProtocolError
-from repro.mpc.bgw import BGWProtocol, bgw_evaluate
-from repro.mpc.builder import CircuitBuilder
+from repro.mpc.bgw import BGWProtocol
 from repro.mpc.circuit import Circuit
-from repro.mpc.gfunc import GFunctionality, build_g_circuit, g_reference
+from repro.mpc.gfunc import GFunctionality, build_g_circuit
 from repro.mpc.ideal import (
     FSBFunctionality,
     TrustedPartyMailbox,
@@ -116,7 +115,7 @@ class TestBGWBasics:
                 )
                 share_messages = [
                     m
-                    for m in execution.messages_in_round(1)
+                    for m in execution.rounds[0].messages
                     if m.sender == 1 and m.recipient == 3
                 ]
                 value = share_messages[0].payload[0][1]

@@ -1,7 +1,5 @@
 """Tests for the circuit IR and the boolean circuit builder."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,17 +55,6 @@ class TestCircuitCore:
         x = circuit.input(1, "x")
         circuit.mark_output(x)
         assert int(circuit.evaluate({})[0]) == 0
-
-    def test_multiplication_count(self):
-        circuit = Circuit(F)
-        a = circuit.input(1, "a")
-        b = circuit.input(2, "b")
-        ab = circuit.mul(a, b)
-        c = circuit.add(ab, a)       # linear gates do not count
-        abc = circuit.mul(ab, c)
-        circuit.mul(a, b)
-        circuit.mark_output(abc)
-        assert circuit.multiplication_count == 3
 
     def test_inputs_of(self):
         circuit = Circuit(F)

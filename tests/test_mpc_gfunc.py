@@ -155,7 +155,3 @@ class TestGCircuit:
             got = [int(v) for v in circuit.evaluate(inputs)]
             r = rhos[0] ^ rhos[1] ^ rhos[2]
             assert got == [r, r, 0]
-
-    def test_multiplication_count_reasonable(self):
-        circuit = build_g_circuit(5)
-        assert 0 < circuit.multiplication_count < 200

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.message import BROADCAST, Draft, Inbox, Message, broadcast, send
+from repro.net.message import BROADCAST, Inbox, Message, broadcast, send
 
 
 def msg(sender, recipient, payload, tag=""):
@@ -76,10 +76,6 @@ class TestInbox:
     def test_iteration(self):
         assert [m.payload for m in self.inbox] == ["a", "b", "c", "d", "e"]
 
-    def test_from_sender(self):
-        assert [m.payload for m in self.inbox.from_sender(1)] == ["a", "c", "e"]
-        assert [m.payload for m in self.inbox.from_sender(1, tag="share")] == ["a", "e"]
-
     def test_first_from(self):
         assert self.inbox.first_from(2).payload == "b"
         assert self.inbox.first_from(2, tag="open").payload == "d"
@@ -127,10 +123,4 @@ class TestInbox:
         inbox = Inbox(messages)
         for sender, tag in queries:
             scan = [m for m in messages if m.sender == sender and (tag is None or m.tag == tag)]
-            assert inbox.from_sender(sender, tag) == scan
-            assert inbox.from_sender(sender) == [m for m in messages if m.sender == sender]
             assert inbox.first_from(sender, tag) is (scan[0] if scan else None)
-
-    def test_from_sender_returns_a_fresh_list(self):
-        self.inbox.from_sender(1).clear()
-        assert [m.payload for m in self.inbox.from_sender(1)] == ["a", "c", "e"]

@@ -1,11 +1,13 @@
-"""Exporter tests: Chrome trace JSON, timelines, obs CLI."""
+"""Exporter tests: Chrome trace JSON, timelines, the ``--trace`` option."""
 
 import json
+from collections import defaultdict
 
 import pytest
 
+from repro import __main__ as cli
 from repro.__main__ import main
-from repro.obs import Tracer, export
+from repro.obs import NOOP_TRACER, Tracer, export, runtime
 from repro.protocols import CGMABroadcast, NaiveCommitReveal
 
 
@@ -34,10 +36,12 @@ class TestChromeTrace:
             assert span["tid"] == 1
 
     def test_shard_records_get_their_own_thread(self, traced_records):
-        shard = [dict(record, shard=True) for record in traced_records]
-        trace = export.chrome_trace(shard)
-        tids = {e["tid"] for e in trace["traceEvents"] if e["ph"] in ("X", "i")}
-        assert tids == {2}
+        coordinator = Tracer()
+        with coordinator.span("map"):
+            coordinator.fold(traced_records, shard=4242)
+        trace = export.chrome_trace(coordinator.records)
+        tids = {e["name"]: e["tid"] for e in trace["traceEvents"] if e["ph"] in ("X", "i")}
+        assert tids == {"map": 1, "experiment": 4242, "trial": 4242, "round": 4242}
 
     def test_write_is_valid_json(self, traced_records, tmp_path):
         path = tmp_path / "trace.json"
@@ -46,6 +50,7 @@ class TestChromeTrace:
             loaded = json.load(handle)
         assert loaded["displayTimeUnit"] == "ms"
         assert len(loaded["traceEvents"]) == 4  # 1 meta + 2 spans + 1 instant
+        assert "metadata" not in loaded
 
     def test_attributes_are_written_json_safe(self, tmp_path):
         tracer = Tracer()
@@ -88,66 +93,98 @@ class TestTimeline:
         text = export.timeline(execution)
         assert "  ! drop" in text
 
-    def test_html_timeline(self, execution):
-        html = export.timeline_html(execution, title="unit <test>")
-        assert html.startswith("<!doctype html>")
-        assert "unit &lt;test&gt;" in html
-        assert "<table>" in html
-        assert "→" in html
+
+def _spans_by_track(trace):
+    tracks = defaultdict(list)
+    for event in trace["traceEvents"]:
+        if event["ph"] == "X":
+            tracks[event["tid"]].append((event["ts"], event["ts"] + event["dur"]))
+    return tracks
 
 
-class TestObsCLI:
-    def test_export_writes_all_artifacts(self, tmp_path):
-        code = main(
-            [
-                "obs",
-                "export",
-                "E-RND",
-                "--out",
-                str(tmp_path),
-                "--scale",
-                "0.05",
-                "--protocol",
-                "sequential",
-            ]
-        )
-        assert code == 0
-        names = {path.name for path in tmp_path.iterdir()}
-        assert names == {
-            "trace_chrome.json",
-            "E-RND.json",
-            "fastpath.json",
-            "timeline_sequential.txt",
-            "timeline_sequential.html",
-        }
-        with open(tmp_path / "trace_chrome.json", encoding="utf-8") as handle:
-            trace = json.load(handle)
+def _crossing_pairs(spans):
+    """Pairs of spans that overlap without one containing the other."""
+    spans = sorted(spans, key=lambda span: (span[0], -span[1]))
+    crossing = 0
+    for index, (start, end) in enumerate(spans):
+        for other_start, other_end in spans[index + 1 :]:
+            if other_start >= end:
+                break
+            crossing += other_end > end
+    return crossing
+
+
+#: A campaign minimal repro that violates (``campaign exec`` exits 1).
+VIOLATING = {
+    "delay_model": "rush:uniform:0.5,1.5",
+    "n": 2,
+    "protocol": "cgma",
+    "seed": 4072198339,
+    "t": 0,
+    "trials": 1,
+}
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+class TestTraceOption:
+    def test_trace_writes_spans_and_coordinator_telemetry(self, tmp_path):
+        trace_path, out = tmp_path / "t.json", tmp_path / "out"
+        argv = ["--trace", str(trace_path), "experiments", "E-RND", "--scale", "0.05"]
+        assert main([*argv, "--json", str(out)]) == 0
+        trace = _load(trace_path)
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
-        with open(tmp_path / "E-RND.json", encoding="utf-8") as handle:
-            artifact = json.load(handle)
-        assert artifact["experiment_id"] == "E-RND" and artifact["passed"]
-        assert artifact["metrics"]["counters"]["net.messages.sent"] > 0
-        with open(tmp_path / "fastpath.json", encoding="utf-8") as handle:
-            telemetry = json.load(handle)
+        telemetry = trace["metadata"]["fastpath"]["coordinator"]
         assert "counters" in telemetry
         assert telemetry["caches"]
+        # The artifact is the one `experiments --json` always writes.
+        assert {path.name for path in out.iterdir()} == {"E-RND.json"}
+        assert _load(out / "E-RND.json")["metrics"]["counters"]["net.messages.sent"] > 0
 
-    def test_unknown_protocol_fails_before_running(self, tmp_path, capsys):
+    def test_missing_trace_directory_is_a_usage_error(self, tmp_path, capsys):
+        trace_path = tmp_path / "nope" / "t.json"
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "obs",
-                    "export",
-                    "E-RND",
-                    "--scale",
-                    "0.05",
-                    "--protocol",
-                    "nope",
-                    "--out",
-                    str(out),
-                ]
-            )
+            main(["--trace", str(trace_path), "experiments", "E-RND", "--json", str(out)])
         assert excinfo.value.code == 2
-        assert "unknown protocol 'nope'" in capsys.readouterr().err
-        assert not out.exists()
+        assert "--trace" in capsys.readouterr().err
+        assert not out.exists() and not trace_path.parent.exists()
+
+    def test_trace_is_written_when_the_command_fails(self, tmp_path, capsys):
+        scenario = tmp_path / "violating.json"
+        scenario.write_text(json.dumps(VIOLATING))
+        trace_path = tmp_path / "t.json"
+        assert main(["--trace", str(trace_path), "campaign", "exec", str(scenario)]) == 1
+        names = {e["name"] for e in _load(trace_path)["traceEvents"]}
+        assert "scheduler.run" in names
+
+    def test_trace_is_written_when_the_command_raises(self, tmp_path, monkeypatch):
+        def crash(*args, **kwargs):
+            with runtime.tracer.span("doomed"):
+                raise RuntimeError("crash")
+
+        monkeypatch.setattr(cli, "run_many", crash)
+        trace_path = tmp_path / "t.json"
+        with pytest.raises(RuntimeError, match="crash"):
+            main(["--trace", str(trace_path), "experiments", "E-RND"])
+        (span,) = [e for e in _load(trace_path)["traceEvents"] if e["ph"] == "X"]
+        assert span["name"] == "doomed" and span["args"] == {"error": "RuntimeError"}
+        assert runtime.tracer is NOOP_TRACER
+
+    def test_obs_export_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "export", "E-RND"])
+        assert excinfo.value.code == 2
+
+    def test_pool_spans_nest_on_their_tracks(self, tmp_path):
+        trace_path = tmp_path / "t.json"
+        argv = ["experiments", "E-C66", "--scale", "0.15", "--jobs", "2"]
+        assert main(["--trace", str(trace_path), *argv]) == 0
+        tracks = _spans_by_track(_load(trace_path))
+        assert len(tracks) >= 2, "pool workers' spans share one track"
+        assert {tid: _crossing_pairs(spans) for tid, spans in tracks.items()} == {
+            tid: 0 for tid in tracks
+        }

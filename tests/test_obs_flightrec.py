@@ -1,11 +1,13 @@
 """Flight recorder tests: ring semantics, hooks, dump triggers, shard folding."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.errors import ConsistencyError
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.faults.library import MIXED
 from repro.net.network import run_protocol
 from repro.net.transcript import Execution
 from repro.obs import FlightRecorder, Metrics, Tracer, flightrec, runtime
@@ -19,6 +21,11 @@ from repro.protocols import CGMABroadcast, NaiveCommitReveal
 
 def _run_commit_reveal(seed):
     NaiveCommitReveal(4, 1).run([1, 0, 1, 0], seed=seed)
+    return seed
+
+
+def _dump_in_worker(seed):
+    flightrec.dump_if_active("probe", seed=seed)
     return seed
 
 
@@ -78,6 +85,12 @@ class TestRing:
         second = recorder.dump("two")
         assert first != second
 
+    def test_a_dump_never_overwrites_one_with_the_same_run_id(self, tmp_path):
+        first = FlightRecorder(capacity=4, run_id="t", dump_dir=str(tmp_path)).dump("one")
+        second = FlightRecorder(capacity=4, run_id="t", dump_dir=str(tmp_path)).dump("two")
+        assert first != second
+        assert [read_dump(path)[0]["reason"] for path in (first, second)] == ["one", "two"]
+
     def test_fold_marks_shard_records(self):
         recorder = FlightRecorder(capacity=8)
         recorder.fold([{"kind": "tick", "ts": 0.1}, {"kind": "tock", "ts": 0.2}])
@@ -96,17 +109,13 @@ class TestLifecycle:
         with flightrec.recording(capacity=16) as recorder:
             assert flightrec.active() is recorder
             assert runtime.flightrec is recorder
-            assert Tracer.flight_tap is recorder
         assert flightrec.active() is None
-        assert Tracer.flight_tap is None
 
     def test_recording_restores_previous(self):
         with flightrec.recording(capacity=16) as outer:
             with flightrec.recording(capacity=8) as inner:
                 assert flightrec.active() is inner
-                assert Tracer.flight_tap is inner
             assert flightrec.active() is outer
-            assert Tracer.flight_tap is outer
 
     def test_dump_if_active_swallows_write_errors(self, tmp_path):
         with flightrec.recording(dump_dir=str(tmp_path / "missing" / "x" / "y")):
@@ -117,28 +126,31 @@ class TestLifecycle:
                 assert flightrec.dump_if_active("unwritable") is None
 
 
-class TestTracerTap:
-    def test_spans_and_events_mirrored(self):
-        with flightrec.recording(capacity=32) as recorder:
-            tracer = Tracer()
-            with runtime.observed(tracer=tracer, metrics=Metrics()):
-                with tracer.span("outer", n=2):
-                    tracer.event("tick", round=1)
-        kinds = [record["kind"] for record in recorder.snapshot()]
-        assert "trace.event" in kinds
-        assert "trace.span" in kinds
-        mirrored = [r for r in recorder.snapshot() if r["kind"] == "trace.span"]
-        assert mirrored[0]["name"] == "outer"
-
-    def test_no_tap_when_recorder_off(self):
-        tracer = Tracer()
-        with runtime.observed(tracer=tracer, metrics=Metrics()):
-            tracer.event("tick")
-        # Nothing to assert beyond "does not raise": the tap is None.
-        assert tracer.events("tick")
+#: Each tracer event in the tree -> the kind of its flight-recorder twin.
+TWINS = {
+    "run_protocol.seed": "run_protocol.start",
+    "scheduler.round": "round",
+    "scheduler.timeout": "scheduler.timeout",
+    "net.omission": "omission",
+    "fault.inject": "fault",
+}
 
 
 class TestSchedulerHooks:
+    def test_each_event_lands_in_the_ring_once(self):
+        tracer = Tracer()
+        with flightrec.recording(capacity=4096) as recorder:
+            with runtime.observed(tracer=tracer, metrics=Metrics()):
+                CGMABroadcast(5, 2, security_bits=16).run(
+                    [1, 0, 1, 1, 0], seed=7, fault_plan=MIXED
+                )
+        assert recorder.forgotten == 0
+        kinds = Counter(record["kind"] for record in recorder.snapshot())
+        twins = Counter(TWINS[event["name"]] for event in tracer.events())
+        assert twins["fault"] and twins["round"]
+        assert {kind: kinds[kind] for kind in twins} == twins
+        assert not [kind for kind in kinds if kind.startswith("trace.")]
+
     def test_messages_and_rounds_recorded(self):
         with flightrec.recording(capacity=4096) as recorder:
             execution = CGMABroadcast(4, 1, security_bits=16).run(
@@ -220,6 +232,16 @@ class TestParallelFolding:
         shard_records = [r for r in recorder.snapshot() if r.get("shard")]
         assert shard_records, "worker flight buffers did not fold into the parent"
         assert any(r["kind"] == "run_protocol.start" for r in shard_records)
+
+    def test_shard_dumps_land_in_the_coordinators_dump_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_FLIGHTREC_DIR", raising=False)
+        dumps = tmp_path / "dumps"
+        with flightrec.recording(dump_dir=str(dumps)):
+            with ExperimentEngine(jobs=2) as engine:
+                assert engine.map(_dump_in_worker, [(s,) for s in range(3)]) == [0, 1, 2]
+        assert len(list(dumps.iterdir())) == 3
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["dumps"]
 
     def test_no_flight_shipping_when_recorder_off(self):
         with ExperimentEngine(jobs=2) as engine:

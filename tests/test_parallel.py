@@ -10,6 +10,7 @@ import inspect
 import json
 import os
 import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -126,18 +127,32 @@ class TestTracerFold:
             worker.event("tick")
         coordinator = Tracer()
         with coordinator.span("outer"):
-            coordinator.fold(list(worker.records))
+            coordinator.fold(list(worker.records), shard=2)
         folded = coordinator.spans("inner")[0]
         assert folded["path"] == "outer/inner"
         assert folded["depth"] == 1
         assert coordinator.events("tick")[0]["path"] == "outer/inner"
+
+    def test_pool_records_land_on_worker_tracks_on_the_coordinators_clock(self):
+        coordinator = Tracer()
+        with ExperimentEngine(jobs=2) as engine:
+            with runtime.observed(tracer=coordinator, metrics=Metrics()):
+                with coordinator.span("map"):
+                    engine.map(_count_and_observe, [(x,) for x in range(4)])
+                    now = time.perf_counter() - coordinator.epoch
+        shards = coordinator.spans("test.shard")
+        assert len(shards) == 4
+        assert os.getpid() not in {span["shard"] for span in shards}
+        assert all(0 <= span["start"] <= span["end"] <= now for span in shards)
+        (outer,) = coordinator.spans("map")
+        assert "shard" not in outer
 
     def test_fold_at_top_level_keeps_paths(self):
         worker = Tracer()
         with worker.span("inner"):
             pass
         coordinator = Tracer()
-        coordinator.fold(list(worker.records))
+        coordinator.fold(list(worker.records), shard=2)
         assert coordinator.spans("inner")[0]["path"] == "inner"
 
 

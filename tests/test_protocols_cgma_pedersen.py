@@ -56,7 +56,7 @@ class TestCGMAPedersen:
         protocol = CGMAPedersen(5, 2, security_bits=16)
         execution = protocol.run((1, 0, 1, 1, 0), seed=3)
         share_messages = [
-            m for m in execution.messages_in_round(1) if m.tag == "cgma:1:share"
+            m for m in execution.rounds[0].messages if m.tag == "cgma:1:share"
         ]
         assert share_messages
         for message in share_messages:
@@ -71,7 +71,7 @@ class TestCGMAPedersen:
         group = execution.config["group"]
         commitments = [
             m.payload
-            for m in execution.messages_in_round(1)
+            for m in execution.rounds[0].messages
             if m.tag == "cgma:1:com"
         ][0]
         # Feldman would put g^1 at index 0 for a dealt 1; Pedersen must not.

@@ -4,8 +4,6 @@ Definition 3.1's consistency and correctness, plus the round-complexity
 shapes the paper attributes to each construction.
 """
 
-import itertools
-
 import pytest
 
 from repro.errors import InvalidParameterError

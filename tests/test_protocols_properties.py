@@ -5,8 +5,6 @@ behaviours through every protocol, checking the two parallel-broadcast
 properties (consistency, correctness) plus protocol-specific invariants.
 """
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,17 +1,21 @@
-"""Every public top-level definition in ``src/repro`` has a caller.
+"""Every public definition in ``src/repro`` has a caller.
 
 A definition that only its own unit tests reach is surface nobody runs:
 no experiment, campaign, CLI command, example or benchmark.  This guard
 tokenizes every module, so docstrings and comments do not count, and
 fails when a public top-level name defined outside a package
-``__init__`` has no code reference elsewhere.  Elsewhere means ``src/``
-(outside the definition itself and the package re-exports),
+``__init__``, or a public method of a class, has no code reference
+elsewhere.  Elsewhere means ``src/`` (outside the definition itself, the
+same-named methods of other classes and the package re-exports),
 ``examples/``, ``bench/``, ``benchmarks/`` or ``pyproject.toml``;
-``tests/`` does not count.
+``tests/`` does not count.  A method counts as called when any code token
+carries its name, so the method census finds only uniquely named dead
+methods.
 
-The deliberate exceptions sit in :data:`KEEP`, one line of reason each.
-An entry that names no definition, or a definition that has since gained
-a caller, fails too, so the list cannot rot.
+The deliberate exceptions sit in :data:`KEEP` and :data:`KEEP_METHODS`,
+one line of reason each.  An entry that names no definition, or a
+definition that has since gained a caller, fails too, so the lists cannot
+rot.
 """
 
 import ast
@@ -56,6 +60,16 @@ KEEP = {
 }
 
 
+#: ``module.Class.method`` -> why it stays although nothing outside tests calls it.
+KEEP_METHODS = {
+    "repro.core.verdict.IndependenceReport.summary": "README's library example prints it",
+    "repro.net.adversary.PassiveAdversary.set_program_factory": (
+        "the scheduler installs it through getattr, which a token census cannot see"
+    ),
+    "repro.obs.tracer.Tracer.spans": "the reader every instrumentation test queries spans with",
+}
+
+
 def _module_name(path):
     return ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
 
@@ -74,11 +88,14 @@ def _reexport_lines(tree):
 
 @lru_cache(maxsize=None)
 def _census():
-    """(definitions, references): every public top-level definition of the
-    package as ``(module, name, path, first line, last line)``, and every
-    code reference as ``name -> [(path, line), ...]``."""
+    """(definitions, methods, references): every public top-level
+    definition of the package as ``(module, name, path, first line, last
+    line)``, every public method as ``(module.Class, name, path, first
+    line, last line)``, and every code reference as ``name -> [(path,
+    line), ...]``."""
     references = defaultdict(list)
     definitions = []
+    methods = []
     files = sorted(PACKAGE.rglob("*.py"))
     for directory in CALLER_DIRS:
         files += sorted((ROOT / directory).rglob("*.py"))
@@ -104,25 +121,51 @@ def _census():
                         definitions.append(
                             (_module_name(path), name, path, node.lineno, node.end_lineno)
                         )
+        if PACKAGE in path.parents:
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                owner = f"{_module_name(path)}.{node.name}"
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        if not item.name.startswith("_"):
+                            methods.append((owner, item.name, path, item.lineno, item.end_lineno))
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     for match in re.finditer(r"[A-Za-z_][A-Za-z0-9_]*", pyproject):
         references[match.group()].append((ROOT / "pyproject.toml", 0))
-    return definitions, references
+    return definitions, methods, references
 
 
-def _uncalled():
-    """``module.Name`` -> ``path:line`` of every definition without a caller."""
-    definitions, references = _census()
+def _without_callers(definitions, references, overrides=False):
+    """``owner.name`` -> ``path:line`` of every definition that no reference
+    outside itself reaches (nor, with ``overrides``, outside any same-named
+    definition: one override does not call another)."""
+    spans = defaultdict(list)
+    for _, name, path, first, last in definitions:
+        spans[name].append((path, first, last))
     uncalled = {}
-    for module, name, path, first, last in definitions:
+    for owner, name, path, first, last in definitions:
+        skipped = spans[name] if overrides else [(path, first, last)]
         callers = [
             (where, line)
             for where, line in references[name]
-            if not (where == path and first <= line <= last)
+            if not any(where == at and start <= line <= end for at, start, end in skipped)
         ]
         if not callers:
-            uncalled[f"{module}.{name}"] = f"{path.relative_to(ROOT)}:{first}"
+            uncalled[f"{owner}.{name}"] = f"{path.relative_to(ROOT)}:{first}"
     return uncalled
+
+
+def _uncalled():
+    """``module.Name`` -> ``path:line`` of every top-level definition without a caller."""
+    definitions, _, references = _census()
+    return _without_callers(definitions, references)
+
+
+def _uncalled_methods():
+    """``module.Class.method`` -> ``path:line`` of every method without a caller."""
+    _, methods, references = _census()
+    return _without_callers(methods, references, overrides=True)
 
 
 def test_every_public_definition_has_a_caller():
@@ -135,9 +178,24 @@ def test_every_public_definition_has_a_caller():
 
 
 def test_every_exception_names_an_uncalled_definition():
-    definitions, _ = _census()
-    defined = {f"{module}.{name}" for module, name, *_ in definitions}
-    missing = sorted(set(KEEP) - defined)
-    assert not missing, f"KEEP names definitions that no longer exist: {missing}"
-    called = sorted(set(KEEP) - set(_uncalled()))
-    assert not called, f"KEEP entries that now have a caller, so need no exception: {called}"
+    definitions, methods, _ = _census()
+    for keep, census, uncalled in (
+        (KEEP, definitions, _uncalled()),
+        (KEEP_METHODS, methods, _uncalled_methods()),
+    ):
+        defined = {f"{owner}.{name}" for owner, name, *_ in census}
+        missing = sorted(set(keep) - defined)
+        assert not missing, f"keep list names definitions that no longer exist: {missing}"
+        called = sorted(set(keep) - set(uncalled))
+        assert not called, f"keep entries that now have a caller, so need no exception: {called}"
+
+
+def test_every_public_method_has_a_caller():
+    unexpected = {
+        key: where for key, where in _uncalled_methods().items() if key not in KEEP_METHODS
+    }
+    assert not unexpected, (
+        "public methods that nothing outside tests/ calls; delete them"
+        " (with the tests that exercise only them) or give KEEP_METHODS a reason:\n  "
+        + "\n  ".join(f"{where}  {key}" for key, where in sorted(unexpected.items()))
+    )

@@ -20,7 +20,6 @@ campaign can generate is, by construction, a fair sample of the DSL:
 import dataclasses
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

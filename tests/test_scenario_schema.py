@@ -236,7 +236,3 @@ class TestCampaignValidateSubcommand:
             main(["campaign", "--batch", "0"])
         assert excinfo.value.code == 2
         assert "argument --batch: must be >= 1" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as excinfo:
-            main(["obs", "export", "--jobs", "0"])
-        assert excinfo.value.code == 2
-        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
