@@ -26,7 +26,7 @@ nothing.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .metrics import jsonable
 
@@ -84,16 +84,13 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self, clock: Optional[Callable[[], float]] = None, epoch: Optional[float] = None
-    ):
-        self._clock = clock or time.perf_counter
-        self.epoch = self._clock() if epoch is None else epoch
+    def __init__(self, epoch: Optional[float] = None):
+        self.epoch = time.perf_counter() if epoch is None else epoch
         self._stack: List[str] = []
         self.records: List[Dict[str, Any]] = []
 
     def _now(self) -> float:
-        return self._clock() - self.epoch
+        return time.perf_counter() - self.epoch
 
     # -- recording ---------------------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 from repro.crypto.field import PrimeField
 from repro.errors import ShareError
 from repro.mpc.bgw import BGWProtocol
-from repro.mpc.circuit import Circuit
+from repro.mpc.circuit import ADD, Circuit, Gate
 from repro.net.adversary import Adversary
 from repro.net.message import send
 from repro.net.network import run_protocol
@@ -149,6 +149,19 @@ class TestBGWFaults:
             protocol, [{"v": 5}, {"v": 7}, {}], adversary=DoubleSender(), seed=4
         )
         assert execution.outputs[1] == execution.outputs[2]
+
+    def test_malformed_circuit_ends_in_share_error(self):
+        """A gate that reads a later gate (appended past ``Circuit``'s
+        argument check) can never be evaluated."""
+        circuit = mul_circuit()
+        forward = len(circuit.gates)
+        circuit.gates.append(Gate(op=ADD, args=(0, forward + 1)))
+        circuit.gates.append(Gate(op=ADD, args=(0, 1)))
+        circuit.mark_output(forward)
+        with pytest.raises(ShareError, match="malformed circuit"):
+            run_protocol(
+                BGWProtocol(circuit, n=3, t=1), [{"v": 3}, {"v": 4}, {}], seed=1
+            )
 
 
 class OneMalformedEntry(Adversary):

@@ -97,6 +97,28 @@ class TestBGWBasics:
         for i in (1, 2, 3):
             assert execution.outputs[i] == (10,)
 
+    def test_circuit_grown_after_an_evaluation_evaluates_its_new_gates(self):
+        """The gate schedule is derived again once gates are appended, so
+        a grown circuit never runs on its old rounds."""
+        circuit = product_circuit()
+        protocol = BGWProtocol(circuit, n=3, t=1)
+        inputs = [{"v": 6}, {"v": 7}, {"v": 9}]
+        clear = {(i, "v"): value["v"] for i, value in enumerate(inputs, 1)}
+
+        def agreed_outputs():
+            execution = run_protocol(protocol, inputs, seed=5)
+            assert len(set(execution.outputs.values())) == 1
+            return execution.outputs[1]
+
+        assert agreed_outputs() == tuple(int(v) for v in circuit.evaluate(clear))
+        x1, x3 = circuit.input(1, "v"), circuit.input(3, "v")
+        scaled = circuit.scale(circuit.outputs[0], 3)
+        circuit.mark_output(circuit.mul(circuit.sub(x3, circuit.const(4)), scaled))
+        circuit.mark_output(circuit.add(circuit.mul(scaled, x1), x3))
+        expected = tuple(int(v) for v in circuit.evaluate(clear))
+        assert len(expected) == 3
+        assert agreed_outputs() == expected
+
     def test_privacy_of_shares(self):
         """t shares leak nothing: party 3's view of party 1's input share is
         statistically independent of the input (sampled check)."""

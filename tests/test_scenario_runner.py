@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.errors import ScenarioError
+from repro.obs.flightrec import read_dump
 from repro.scenario import (
     Campaign,
     Scenario,
@@ -249,3 +250,29 @@ class TestCampaign:
         assert f"{entry['id']}.trace.jsonl" in names
         minimal = Scenario.load(os.path.join(campaign.out_dir, f"{entry['id']}.min.json"))
         assert violation_kinds(run_scenario(minimal))
+
+    def test_a_timed_out_minimal_repro_leaves_only_its_trace(self, tmp_path):
+        """Re-run for its trace, the campaign's Bracha repro (n = 2, party 1
+        crashed at round 1) hits its timeout, which dumps the ring on its
+        own; the trace holds that ``scheduler.timeout`` record too, so it
+        stays the repro's one file."""
+        minimal = Scenario.from_dict(
+            {
+                "protocol": "bracha",
+                "n": 2,
+                "t": 0,
+                "trials": 1,
+                "faults": {"crashes": [{"at_round": 1, "party": 1}], "seed": 27698},
+            }
+        )
+        out_dir = str(tmp_path / "corpus")
+        campaign = Campaign(
+            seed=SEED,
+            budget=0,
+            out_dir=out_dir,
+            report_path=os.path.join(out_dir, "CAMPAIGN.json"),
+        )
+        campaign._record_trace("2be560ae8398", minimal)
+        assert os.listdir(out_dir) == ["2be560ae8398.trace.jsonl"]
+        trace = read_dump(os.path.join(out_dir, "2be560ae8398.trace.jsonl"))
+        assert "scheduler.timeout" in [record["kind"] for record in trace]
