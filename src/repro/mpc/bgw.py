@@ -5,13 +5,12 @@ semi-honest form with the Gennaro--Rabin--Rabin resharing-based degree
 reduction:
 
 1. *Input round* — every party Shamir-shares each of its input wires.
-2. *Multiplication rounds* — linear gates are local.  A round takes the
-   gates in gate order up to the first one that needs a product still in
-   flight: its linear gates are evaluated locally, and its multiplication
-   gates form one batch, whose shares the parties multiply locally
-   (degree 2t) and reshare back down to degree t.  Rounds therefore
-   follow gate order, not multiplicative depth: the g circuit at n = 5
-   has depth 12 and takes 31 rounds.
+2. *Multiplication rounds* — linear gates are local.  Rounds follow
+   multiplicative depth: round k evaluates the linear gates of level k
+   locally, and the multiplication gates of level k + 1 form one batch,
+   whose shares the parties multiply locally (degree 2t) and reshare back
+   down to degree t.  A circuit of depth d takes d resharing rounds: the
+   g circuit at n = 5 has depth 12 and takes 12.
 3. *Output round* — shares of output wires are exchanged and interpolated.
 
 The rounds depend on the gates alone, so they are derived once per
@@ -50,7 +49,9 @@ class Round(NamedTuple):
         charge: the ``crypto.field.mul`` the boxed operators charged for
             the round's local work: one per ``SCALE`` and one per product.
         muls: the batch's ``MUL`` gates in gate order, as ``(gate id, left
-            operand, right operand)``; empty only in a schedule's last round.
+            operand, right operand)``; empty only in a final round of local
+            gates, which a schedule lacks when its deepest gates are
+            ``MUL``s.
     """
 
     local: Tuple[Tuple[str, int, int, int], ...]
@@ -83,9 +84,13 @@ _SCHEDULES: weakref.WeakKeyDictionary[Circuit, Schedule] = weakref.WeakKeyDictio
 def schedule(circuit: Circuit) -> Schedule:
     """``circuit``'s schedule, derived again only once a gate was appended.
 
-    A round ends just before the first gate with an operand in the
-    round's pending batch.  Gates reference earlier gates only, so that
-    operand is always ready after the batch's resharing.
+    Rounds follow multiplicative depth.  A gate's level is the largest
+    level among its operands, plus one for a ``MUL``; ``INPUT`` and
+    ``CONST`` gates are level 0.  Round k evaluates the level-k
+    ``ADD``/``SUB``/``SCALE`` gates in gate order, then reshares every
+    ``MUL`` of level k + 1 in one batch, in gate order.  The operands of a
+    level-(k + 1) product have level at most k, so they are ready by then,
+    and a circuit of depth d takes d resharing rounds.
 
     Raises:
         ShareError: for a gate a round cannot evaluate (an unknown op, a
@@ -97,10 +102,10 @@ def schedule(circuit: Circuit) -> Schedule:
     modulus = circuit.field.modulus
     initial = [0] * circuit.size
     owners: Dict[int, int] = {}
-    rounds: List[Round] = []
-    local: List[Tuple[str, int, int, int]] = []
-    muls: List[Tuple[int, int, int]] = []
-    pending: set = set()
+    levels = [0] * circuit.size
+    # Per level k: its local gates, and the MUL gates of level k + 1.
+    local: List[List[Tuple[str, int, int, int]]] = [[]]
+    muls: List[List[Tuple[int, int, int]]] = [[]]
     for gate_id, gate in enumerate(circuit.gates):
         op, args = gate.op, gate.args
         if op == INPUT:
@@ -111,19 +116,20 @@ def schedule(circuit: Circuit) -> Schedule:
             continue
         if len(args) != _ARITY.get(op) or not all(0 <= arg < gate_id for arg in args):
             raise ShareError(f"gate {gate_id} ({op}) cannot be evaluated (malformed circuit)")
-        if not pending.isdisjoint(args):
-            rounds.append(_round(local, muls))
-            local, muls, pending = [], [], set()
+        level = levels[gate_id] = max(levels[arg] for arg in args) + (op == MUL)
+        if level == len(local):
+            local.append([])
+            muls.append([])
         if op == MUL:
-            muls.append((gate_id, *args))
-            pending.add(gate_id)
+            muls[level - 1].append((gate_id, *args))
         elif op == SCALE:
-            local.append((op, gate_id, args[0], gate.constant % modulus))
+            local[level].append((op, gate_id, args[0], gate.constant % modulus))
         else:
-            local.append((op, gate_id, *args))
-    if local or muls:
-        rounds.append(_round(local, muls))
-    plan = _SCHEDULES[circuit] = Schedule(circuit.size, tuple(initial), owners, tuple(rounds))
+            local[level].append((op, gate_id, *args))
+    if not local[-1]:  # the deepest gates are MULs: no final local round
+        local.pop()
+    rounds = tuple(_round(gates, batch) for gates, batch in zip(local, muls))
+    plan = _SCHEDULES[circuit] = Schedule(circuit.size, tuple(initial), owners, rounds)
     return plan
 
 

@@ -47,7 +47,7 @@ import json
 import os
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Any, Dict, Iterable, List, Optional
 
 from .metrics import jsonable
@@ -191,12 +191,20 @@ class FlightRecorder:
             "context": jsonable(context),
         }
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True))
-            handle.write("\n")
-            for record in self.buffer:
-                handle.write(json.dumps(jsonable(record), sort_keys=True))
+        handle = open(path, "w", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(json.dumps(header, sort_keys=True))
                 handle.write("\n")
+                for record in self.buffer:
+                    handle.write(json.dumps(jsonable(record), sort_keys=True))
+                    handle.write("\n")
+        except OSError:
+            # A write cut short (a full disk) leaves no partial snapshot
+            # behind: no recorder lists it and read_dump cannot parse it.
+            with suppress(OSError):
+                os.remove(path)
+            raise
         self.dumps.append(path)
         return path
 

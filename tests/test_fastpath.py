@@ -422,30 +422,33 @@ THETA_INPUTS = ((1, 0), (0, 1), (1, 0), (1, 1), (1, 0))
 
 #: The counters of one Θ-over-BGW evaluation of g at n = 5, t = 2, seed 7:
 #: a circuit with every gate kind (58 ``MUL``, 34 ``SUB``, 23 ``ADD``,
-#: 10 ``SCALE``, 6 ``CONST``) and 31 resharing rounds.  Taken with the
-#: boxed gate loop.
+#: 10 ``SCALE``, 6 ``CONST``) and multiplicative depth 12, so 12 resharing
+#: rounds.  Each party sends in (1 input + 12 mul + 1 output) = 14 rounds,
+#: to all 5 parties: 70 messages.  Of the 305 dealings, four draw both
+#: random coefficients as 0, so each charges 5 multiplications for a
+#: nonzero product and none for a zero one.
 PINNED_THETA_COUNTERS = {
-    "crypto.field.mul": 6880,
+    "crypto.field.mul": 6875,
     "mpc.bgw.evaluations": 5,
     "mpc.bgw.input_wires_shared": 15,
     "mpc.bgw.mul_gates": 290,
-    "mpc.bgw.mul_rounds": 155,
-    "net.bytes.sent": 58575,
-    "net.bytes.sent.party.1": 11715,
-    "net.bytes.sent.party.2": 11715,
-    "net.bytes.sent.party.3": 11715,
-    "net.bytes.sent.party.4": 11715,
-    "net.bytes.sent.party.5": 11715,
+    "mpc.bgw.mul_rounds": 60,
+    "net.bytes.sent": 54300,
+    "net.bytes.sent.party.1": 10860,
+    "net.bytes.sent.party.2": 10860,
+    "net.bytes.sent.party.3": 10860,
+    "net.bytes.sent.party.4": 10860,
+    "net.bytes.sent.party.5": 10860,
     "net.messages.corrupted": 0,
-    "net.messages.delivered": 825,
-    "net.messages.honest": 825,
-    "net.messages.sent": 825,
-    "net.messages.sent.party.1": 165,
-    "net.messages.sent.party.2": 165,
-    "net.messages.sent.party.3": 165,
-    "net.messages.sent.party.4": 165,
-    "net.messages.sent.party.5": 165,
-    "net.rounds": 34,
+    "net.messages.delivered": 350,
+    "net.messages.honest": 350,
+    "net.messages.sent": 350,
+    "net.messages.sent.party.1": 70,
+    "net.messages.sent.party.2": 70,
+    "net.messages.sent.party.3": 70,
+    "net.messages.sent.party.4": 70,
+    "net.messages.sent.party.5": 70,
+    "net.rounds": 15,
 }
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from repro.crypto.field import PrimeField
 from repro.errors import InvalidParameterError, ProtocolError
-from repro.mpc.bgw import BGWProtocol
-from repro.mpc.circuit import Circuit
+from repro.mpc.bgw import BGWProtocol, schedule
+from repro.mpc.circuit import ADD, CONST, MUL, SCALE, SUB, Circuit
 from repro.mpc.gfunc import GFunctionality, build_g_circuit
 from repro.mpc.ideal import (
     FSBFunctionality,
@@ -178,6 +178,134 @@ class TestBGWOnG:
         execution = run_protocol(protocol, inputs, seed=7)
         # r = 1^0^1 = 0, y = x3 = 0 -> w = (0, 0, 0)
         assert execution.outputs[1] == (0, 0, 0)
+
+
+def multiplicative_depths(circuit):
+    """Each gate's level, derived here without the BGW schedule: the
+    largest level among its operands, plus one for a ``MUL``."""
+    levels = []
+    for gate in circuit.gates:
+        below = max((levels[arg] for arg in gate.args), default=0)
+        levels.append(below + (gate.op == MUL))
+    return levels
+
+
+def random_circuit(seed, n):
+    """A seeded circuit over every gate kind: two inputs per party, then
+    40 gates whose operands lean towards the newest wires, so products
+    nest several levels deep."""
+    rng = random.Random(seed)
+    circuit = Circuit(F)
+    wires = [circuit.input(owner, name) for owner in range(1, n + 1) for name in "ab"]
+    ops = [ADD, SUB, MUL, SCALE, CONST] + [
+        rng.choice((ADD, SUB, MUL, MUL, SCALE, CONST)) for _ in range(35)
+    ]
+    rng.shuffle(ops)
+    for op in ops:
+        a, b = (wires[-1 - min(int(rng.expovariate(0.3)), len(wires) - 1)] for _ in "ab")
+        if op == CONST:
+            wires.append(circuit.const(rng.randrange(F.modulus)))
+        elif op == SCALE:
+            wires.append(circuit.scale(a, rng.randrange(1, F.modulus)))
+        else:
+            wires.append({ADD: circuit.add, SUB: circuit.sub, MUL: circuit.mul}[op](a, b))
+    for wire in wires[-3:] + [rng.choice(wires)]:
+        circuit.mark_output(wire)
+    return circuit
+
+
+class _DrawRecordingBGW(BGWProtocol):
+    """BGW that keeps each party's rng state at program start and end."""
+
+    def __init__(self, circuit, n, t):
+        super().__init__(circuit, n, t)
+        self.states = {}
+
+    def program(self, ctx, value):
+        start = ctx.rng.getstate()
+        outputs = yield from super().program(ctx, value)
+        self.states[ctx.party_id] = (start, ctx.rng.getstate())
+        return outputs
+
+
+#: ``(n, t, depth)`` of the g circuits checked; gate-order batches took
+#: 16, 31 and 50 resharing rounds on them.
+G_SIZES = [(3, 1, 8), (5, 2, 12), (7, 3, 16)]
+
+
+class TestBGWSchedule:
+    """The schedule reshares once per level of multiplicative depth."""
+
+    def assert_rounds_follow_depth(self, circuit):
+        """Round k reshares exactly the level-(k + 1) ``MUL`` gates and
+        evaluates exactly the level-k local gates, each in gate order."""
+        levels = multiplicative_depths(circuit)
+        depth = max(levels, default=0)
+        rounds = schedule(circuit).rounds
+        assert sum(1 for round_ in rounds if round_.muls) == depth
+        assert [
+            (k + 1, gate_id, a, b)
+            for k, round_ in enumerate(rounds)
+            for gate_id, a, b in round_.muls
+        ] == sorted(
+            (levels[gate_id], gate_id, *gate.args)
+            for gate_id, gate in enumerate(circuit.gates)
+            if gate.op == MUL
+        )
+        assert [
+            (k, gate_id) for k, round_ in enumerate(rounds) for _, gate_id, _, _ in round_.local
+        ] == sorted(
+            (levels[gate_id], gate_id)
+            for gate_id, gate in enumerate(circuit.gates)
+            if gate.op in (ADD, SUB, SCALE)
+        )
+        return depth
+
+    def assert_evaluates_like_the_circuit(self, circuit, n, t, inputs, seed):
+        """Every party outputs ``Circuit.evaluate``'s values, and its rng
+        advanced by exactly t + 1 draws per dealing: one per owned input
+        wire and one per ``MUL`` gate."""
+        protocol = _DrawRecordingBGW(circuit, n=n, t=t)
+        execution = run_protocol(protocol, inputs, seed=seed)
+        clear = {
+            (owner, name): value
+            for owner, wires in enumerate(inputs, 1)
+            for name, value in wires.items()
+        }
+        expected = tuple(int(v) for v in circuit.evaluate(clear))
+        assert execution.outputs == {i: expected for i in range(1, n + 1)}
+        products = sum(1 for gate in circuit.gates if gate.op == MUL)
+        for party in range(1, n + 1):
+            start, end = protocol.states[party]
+            replay = random.Random()
+            replay.setstate(start)
+            dealings = len(circuit.inputs_of(party)) + products
+            for _ in range(dealings * (t + 1)):
+                replay.randrange(circuit.field.modulus)
+            assert replay.getstate() == end
+
+    @pytest.mark.parametrize("n, t, depth", G_SIZES)
+    def test_g_circuit_reshares_once_per_level(self, n, t, depth):
+        assert self.assert_rounds_follow_depth(build_g_circuit(n)) == depth
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_circuit_reshares_once_per_level(self, seed):
+        assert self.assert_rounds_follow_depth(random_circuit(seed, 3 + 2 * (seed % 2))) >= 2
+
+    @pytest.mark.parametrize("n, t, depth", G_SIZES)
+    def test_g_circuit_evaluates_draw_for_draw(self, n, t, depth):
+        rng = random.Random(n)
+        inputs = [{name: rng.randrange(2) for name in ("x", "b", "rho")} for _ in range(n)]
+        self.assert_evaluates_like_the_circuit(build_g_circuit(n), n, t, inputs, seed=n)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_circuit_evaluates_draw_for_draw(self, seed):
+        n = 3 + 2 * (seed % 2)
+        rng = random.Random(seed)
+        inputs = [{name: rng.randrange(F.modulus) for name in "ab"} for _ in range(n)]
+        self.assert_evaluates_like_the_circuit(
+            random_circuit(seed, n), n, (n - 1) // 2, inputs, seed=seed
+        )
 
 
 class TestTrustedParty:

@@ -1,5 +1,6 @@
 """Flight recorder tests: ring semantics, hooks, dump triggers, shard folding."""
 
+import errno
 import json
 from collections import Counter
 
@@ -124,6 +125,40 @@ class TestLifecycle:
             (tmp_path / "blocked").write_text("")
             with flightrec.recording(dump_dir=str(tmp_path / "blocked" / "sub")):
                 assert flightrec.dump_if_active("unwritable") is None
+
+    def test_a_dump_cut_short_leaves_no_file(self, tmp_path, monkeypatch):
+        class FullDisk:
+            """A file handle whose third write fails as a full disk does."""
+
+            def __init__(self, *args, **kwargs):
+                self.handle = open(*args, **kwargs)
+                self.writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.handle.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+        with flightrec.recording(capacity=8, run_id="t", dump_dir=str(tmp_path)) as recorder:
+            recorder.push("tick", index=0)
+            recorder.push("tick", index=1)
+            monkeypatch.setattr(flightrec, "open", FullDisk, raising=False)
+            assert flightrec.dump_if_active("disk-full") is None
+            assert list(tmp_path.iterdir()) == []
+            assert recorder.dumps == []
+            monkeypatch.undo()
+            path = flightrec.dump_if_active("disk-freed")
+        assert recorder.dumps == [path]
+        records = read_dump(path)
+        assert records[0]["reason"] == "disk-freed"
+        assert [record["index"] for record in records[1:]] == [0, 1]
 
 
 #: Each tracer event in the tree -> the kind of its flight-recorder twin.
