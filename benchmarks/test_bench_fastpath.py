@@ -92,7 +92,7 @@ def _workloads(bits):
 
     def naive_vss_verify(share):
         expected = oracles.vss_expected(group, dealing.commitments, share.x)
-        return oracles.group_exp(group.generator, share.value.value) == expected
+        return oracles.group_exp(group.generator, share.value) == expected
 
     return {
         "pedersen_commit": (

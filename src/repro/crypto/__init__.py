@@ -6,25 +6,21 @@ are reproducible; see :mod:`repro.crypto.group`.
 """
 
 from .commitment import Opening, PedersenCommitment, PedersenParameters, TrapdoorCommitment
-from .field import FieldElement, PrimeField, is_probable_prime, next_prime
+from .field import PrimeField, is_probable_prime, next_prime
 from .group import GroupElement, SchnorrGroup, safe_prime_parameters
-from .polynomial import Polynomial, lagrange_coefficients_at_zero
 from .prg import random_oracle, random_oracle_int
-from .secret_sharing import ShamirSharing, Share
+from .secret_sharing import ShamirSharing, Share, lagrange_coefficients_at_zero
 from .sigma import OpeningProof, prove_opening, verify_opening
 from .signatures import KeyDirectory, KeyPair, Signature, sign, verify
 from .vss import FeldmanDealing, FeldmanVSS, PedersenDealing, PedersenShare, PedersenVSS
 
 __all__ = [
-    "FieldElement",
     "PrimeField",
     "is_probable_prime",
     "next_prime",
     "GroupElement",
     "SchnorrGroup",
     "safe_prime_parameters",
-    "Polynomial",
-    "lagrange_coefficients_at_zero",
     "random_oracle",
     "random_oracle_int",
     "Opening",
@@ -33,6 +29,7 @@ __all__ = [
     "TrapdoorCommitment",
     "ShamirSharing",
     "Share",
+    "lagrange_coefficients_at_zero",
     "KeyDirectory",
     "KeyPair",
     "Signature",

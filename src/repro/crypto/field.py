@@ -6,19 +6,15 @@ The protocols in this library do arithmetic over two kinds of prime fields:
 * large fields (the exponent group Z_q of a Schnorr group) used by the
   commitment and VSS layers.
 
-Field elements are immutable value objects supporting the usual operator
-protocol, so protocol code reads like the maths in the paper.
+A field value is a plain ``int`` residue in ``[0, p)``;
+:class:`PrimeField` holds the validated modulus.  No field operation
+charges a counter: every caller that multiplies field values charges
+``crypto.field.mul`` itself (DESIGN.md §7, "The logical cost model").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 from ..errors import InvalidParameterError
-from ..obs import runtime as _obs
-
-IntoElement = Union["FieldElement", int]
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -70,7 +66,7 @@ def next_prime(floor: int) -> int:
 
 
 class PrimeField:
-    """The finite field GF(p) for a prime modulus p."""
+    """The finite field GF(p) for a prime modulus p; its values are int residues."""
 
     __slots__ = ("modulus",)
 
@@ -81,37 +77,19 @@ class PrimeField:
             raise InvalidParameterError(f"field modulus {modulus} is not prime")
         self.modulus = modulus
 
-    # -- element construction -------------------------------------------------
+    def random(self, rng) -> int:
+        """A uniform residue drawn with ``rng`` (a ``random.Random``)."""
+        return rng.randrange(self.modulus)
 
-    def element(self, value: IntoElement) -> "FieldElement":
-        """Coerce ``value`` into this field (reducing integers mod p)."""
-        return FieldElement(self, self.residue(value))
-
-    def residue(self, value: IntoElement) -> int:
-        """``self.element(value).value`` without building the element.
+    def inverse(self, value: int) -> int:
+        """The residue whose product with ``value`` is 1 mod p.
 
         Raises:
-            InvalidParameterError: for an element of a different field.
+            ZeroDivisionError: for a value congruent to 0.
         """
-        if isinstance(value, FieldElement):
-            if value.field is not self and value.field.modulus != self.modulus:
-                raise InvalidParameterError(
-                    f"element of GF({value.field.modulus}) used in GF({self.modulus})"
-                )
-            return value.value
-        return value % self.modulus
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def random(self, rng) -> "FieldElement":
-        """Sample a uniform element using ``rng`` (a ``random.Random``)."""
-        return FieldElement(self, rng.randrange(self.modulus))
-
-    # -- identity --------------------------------------------------------------
+        if value % self.modulus == 0:
+            raise ZeroDivisionError("0 has no inverse in a field")
+        return pow(value, -1, self.modulus)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.modulus == self.modulus
@@ -121,76 +99,3 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"GF({self.modulus})"
-
-    def __contains__(self, item: object) -> bool:
-        return isinstance(item, FieldElement) and item.field == self
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An immutable element of a :class:`PrimeField`."""
-
-    field: PrimeField
-    value: int
-
-    def _coerce(self, other: IntoElement) -> "FieldElement":
-        return self.field.element(other)
-
-    def __add__(self, other: IntoElement) -> "FieldElement":
-        rhs = self._coerce(other)
-        return FieldElement(self.field, (self.value + rhs.value) % self.field.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: IntoElement) -> "FieldElement":
-        rhs = self._coerce(other)
-        return FieldElement(self.field, (self.value - rhs.value) % self.field.modulus)
-
-    def __rsub__(self, other: IntoElement) -> "FieldElement":
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other: IntoElement) -> "FieldElement":
-        rhs = self._coerce(other)
-        if _obs.metrics is not None:
-            _obs.metrics.inc("crypto.field.mul")
-        return FieldElement(self.field, (self.value * rhs.value) % self.field.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, (-self.value) % self.field.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse in a field")
-        return FieldElement(self.field, pow(self.value, -1, self.field.modulus))
-
-    def __truediv__(self, other: IntoElement) -> "FieldElement":
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other: IntoElement) -> "FieldElement":
-        return self._coerce(other) / self
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return FieldElement(self.field, pow(self.value, exponent, self.field.modulus))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.value == other % self.field.modulus
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.modulus, self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.modulus})"

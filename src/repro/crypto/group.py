@@ -187,8 +187,8 @@ class SchnorrGroup:
         return 0 < value < self.p and _backend.active().powmod(value, self.q, self.p) == 1
 
     def normalize_exponent(self, exponent) -> int:
-        """Reduce any exponent-like value (int, FieldElement, negative, >= q)
-        into the canonical range ``[0, q)``.
+        """Reduce any integer exponent (negative, or >= q) into the
+        canonical range ``[0, q)``.
 
         This is the *single* normalization point shared by
         :meth:`GroupElement.__pow__`, :meth:`power`, and every fastpath

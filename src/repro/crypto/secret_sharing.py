@@ -1,29 +1,63 @@
-"""Shamir secret sharing over GF(p).
+"""Shamir secret sharing over GF(p), and Lagrange coefficients at zero.
 
 A (t, n) sharing hides a secret in the constant term of a random degree-t
 polynomial; any t+1 shares reconstruct, any t reveal nothing.  Party i
 holds the evaluation at x = i (1-based, so x = 0 is reserved for the
-secret itself).
+secret itself).  Secrets, coefficients and shares are int residues in
+``[0, p)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .. import fastpath
 from ..errors import InvalidParameterError, ShareError
 from ..obs import runtime as _obs
-from .field import FieldElement, IntoElement, PrimeField
-from .polynomial import Polynomial, lagrange_coefficients_at_zero
+from .field import PrimeField
 
 
 @dataclass(frozen=True)
 class Share:
-    """One party's share: the evaluation point x and the value f(x)."""
+    """One party's share: the evaluation point x and the residue f(x)."""
 
     x: int
-    value: FieldElement
+    value: int
+
+
+def lagrange_coefficients_at_zero(field: PrimeField, xs: Sequence[int]) -> Tuple[int, ...]:
+    """Residues lambda_i with sum_i lambda_i * f(x_i) = f(0) for the points ``xs``.
+
+    Used for Shamir reconstruction and BGW degree reduction without
+    building the interpolating polynomial.  Coefficient sets are memoized
+    per ``(modulus, point tuple)``, since reconstruction calls the same
+    point sets over and over (every party, every dealing).  Each call
+    charges ``crypto.field.mul`` with the computing loop's count, on a
+    memo hit and a miss alike: ``2m^2 - m`` for ``m`` points, two per
+    ordered pair plus one division each.
+    """
+    modulus = field.modulus
+    points = tuple(x % modulus for x in xs)
+    if len(set(points)) != len(points):
+        raise ShareError("duplicate x-coordinates")
+    if _obs.metrics is not None:
+        m = len(points)
+        _obs.metrics.inc("crypto.field.mul", 2 * m * m - m)
+    cached = fastpath.lagrange_cache_get(modulus, points)
+    if cached is not None:
+        return cached
+    coefficients = []
+    for i, xi in enumerate(points):
+        numerator = denominator = 1
+        for j, xj in enumerate(points):
+            if i != j:
+                numerator = numerator * -xj % modulus
+                denominator = denominator * (xi - xj) % modulus
+        coefficients.append(numerator * field.inverse(denominator) % modulus)
+    result = tuple(coefficients)
+    fastpath.lagrange_cache_put(modulus, points, result)
+    return result
 
 
 class ShamirSharing:
@@ -44,30 +78,14 @@ class ShamirSharing:
         self.threshold = threshold
         self.parties = parties
 
-    def share(self, secret: IntoElement, rng) -> Tuple[Polynomial, Dict[int, Share]]:
-        """Share a secret; returns the dealing polynomial and per-party shares.
-
-        :meth:`deal` boxed.  The polynomial is returned so verifiable
-        schemes (VSS) can commit to its coefficients; plain callers should
-        discard it.
-        """
-        field = self.field
-        coefficients, points = self.deal(field.residue(secret), rng)
-        shares = {
-            i: Share(i, FieldElement(field, value)) for i, value in enumerate(points, 1)
-        }
-        return Polynomial(field, coefficients), shares
-
     def deal(self, secret: int, rng) -> Tuple[List[int], List[int]]:
-        """One dealing on residues: ``(coefficients, [f(1), ..., f(parties)])``.
+        """One dealing: ``(coefficients, [f(1), ..., f(parties)])``.
 
-        ``secret`` is a residue in ``[0, p)``.  The coefficients are drawn
-        exactly as ``Polynomial.random`` draws them (``threshold + 1``
-        calls to ``rng.randrange(p)``, the first overwritten by the
-        secret) and returned lowest degree first with trailing zeros
-        stripped, as the ``Polynomial`` constructor stores them.  Horner's
-        rule charges one ``crypto.field.mul`` per stripped coefficient and
-        party, as evaluating the boxed polynomial would.
+        ``secret`` is a residue in ``[0, p)``.  The coefficients are
+        ``threshold + 1`` draws of ``rng.randrange(p)``, the first
+        overwritten by the secret, returned lowest degree first with
+        trailing zeros stripped.  Horner's rule charges one
+        ``crypto.field.mul`` per stripped coefficient and party.
         """
         modulus = self.field.modulus
         coefficients = [rng.randrange(modulus) for _ in range(self.threshold + 1)]
@@ -78,8 +96,12 @@ class ShamirSharing:
             _obs.metrics.inc("crypto.field.mul", len(coefficients) * self.parties)
         return coefficients, fastpath.shamir_points(modulus, coefficients, self.parties)
 
-    def reconstruct(self, shares: Iterable[Share]) -> FieldElement:
-        """Reconstruct the secret from at least threshold+1 shares."""
+    def reconstruct(self, shares: Iterable[Share]) -> int:
+        """Reconstruct the secret from at least threshold+1 shares (the first threshold+1).
+
+        Charges one ``crypto.field.mul`` per share it sums, on top of the
+        Lagrange coefficients' own charge.
+        """
         share_list = list(shares)
         if len({s.x for s in share_list}) != len(share_list):
             raise ShareError("duplicate shares supplied")
@@ -88,12 +110,8 @@ class ShamirSharing:
                 f"need {self.threshold + 1} shares, got {len(share_list)}"
             )
         subset = share_list[: self.threshold + 1]
-        field = self.field
-        coefficients = lagrange_coefficients_at_zero(field, [s.x for s in subset])
-        total = sum(
-            coefficient.value * field.residue(share.value)
-            for coefficient, share in zip(coefficients, subset, strict=True)
-        )
+        coefficients = lagrange_coefficients_at_zero(self.field, [s.x for s in subset])
         if _obs.metrics is not None:
             _obs.metrics.inc("crypto.field.mul", len(subset))
-        return FieldElement(field, total % field.modulus)
+        total = sum(c * s.value for c, s in zip(coefficients, subset, strict=True))
+        return total % self.field.modulus

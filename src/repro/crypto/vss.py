@@ -21,7 +21,6 @@ from .. import fastpath
 from ..errors import ShareError
 from ..obs import runtime as _obs
 from .commitment import PedersenCommitment, PedersenParameters
-from .field import FieldElement
 from .group import GroupElement, SchnorrGroup
 from .secret_sharing import ShamirSharing, Share
 
@@ -59,11 +58,11 @@ class FeldmanDealing:
 
 @dataclass(frozen=True)
 class PedersenShare:
-    """A Pedersen VSS share: evaluations of both the value and blinding polynomials."""
+    """A Pedersen VSS share: the value and blinding polynomials' residues at x."""
 
     x: int
-    value: FieldElement
-    blinding: FieldElement
+    value: int
+    blinding: int
 
 
 @dataclass(frozen=True)
@@ -100,6 +99,12 @@ class _VerifiableSharing:
     def _share_key(share) -> Tuple:
         raise NotImplementedError
 
+    def _deal(self, secret: int, rng) -> Tuple[List[int], List[int]]:
+        """One Shamir dealing of ``secret`` mod q: its coefficients, padded
+        with 0 to the commitment vector's threshold+1 entries, and its points."""
+        coefficients, points = self.sharing.deal(secret % self.field.modulus, rng)
+        return coefficients + [0] * (self.threshold + 1 - len(coefficients)), points
+
     def _batched(self, commitments: Sequence[GroupElement], shares: List) -> bool:
         """Whether ``shares`` take the batch path (else one check per share)."""
         return len(shares) >= BATCH_MIN_SHARES and len(commitments) == self.threshold + 1
@@ -132,7 +137,7 @@ class _VerifiableSharing:
         self._charge_batch(verdicts)
         return verdicts
 
-    def reconstruct(self, commitments: Sequence[GroupElement], shares: Iterable) -> FieldElement:
+    def reconstruct(self, commitments: Sequence[GroupElement], shares: Iterable) -> int:
         """Reconstruct from shares, discarding any that fail verification.
 
         In a reveal every party reconstructs every dealer's secret from the
@@ -174,13 +179,9 @@ class FeldmanVSS(_VerifiableSharing):
     def deal(self, secret: int, rng) -> FeldmanDealing:
         if _obs.metrics is not None:
             _obs.metrics.inc("crypto.vss.deals")
-        polynomial, shares = self.sharing.share(secret, rng)
-        coefficients = list(polynomial.coefficients)
-        # Pad so the commitment vector always has threshold+1 entries even if
-        # trailing coefficients happen to be zero.
-        while len(coefficients) < self.threshold + 1:
-            coefficients.append(self.field.zero())
-        commitments = tuple(self.group.power(c.value) for c in coefficients)
+        coefficients, points = self._deal(secret, rng)
+        commitments = tuple(self.group.power(c) for c in coefficients)
+        shares = {i: Share(i, value) for i, value in enumerate(points, 1)}
         return FeldmanDealing(commitments=commitments, shares=shares)
 
     def verify_share(self, commitments: Sequence[GroupElement], share: Share) -> bool:
@@ -192,19 +193,19 @@ class FeldmanVSS(_VerifiableSharing):
                 _obs.metrics.inc("crypto.vss.shares_rejected")
             return False
         expected = _expected_from_commitments(self.group, commitments, share.x)
-        ok = self.group.power(share.value.value) == expected
+        ok = self.group.power(share.value) == expected
         if not ok and _obs.metrics is not None:
             _obs.metrics.inc("crypto.vss.shares_rejected")
         return ok
 
     @staticmethod
     def _share_key(share: Share) -> Tuple:
-        return (share.x, share.value.value)
+        return (share.x, share.value)
 
     def _batch_verdicts(self, commitment_values: List[int], shares: List[Share]) -> List[bool]:
         group = self.group
         generator = group.generator.value
-        values = [group.normalize_exponent(s.value.value) for s in shares]
+        values = [group.normalize_exponent(s.value) for s in shares]
         xs = [s.x for s in shares]
         if fastpath.feldman_batch_verify(
             group.p, group.q, generator, commitment_values, xs, values
@@ -237,23 +238,15 @@ class PedersenVSS(_VerifiableSharing):
     def deal(self, secret: int, rng) -> PedersenDealing:
         if _obs.metrics is not None:
             _obs.metrics.inc("crypto.vss.deals")
-        value_poly, value_shares = self.sharing.share(secret, rng)
-        blind_poly, blind_shares = self.sharing.share(self.field.random(rng), rng)
-        value_coeffs = list(value_poly.coefficients)
-        blind_coeffs = list(blind_poly.coefficients)
-        while len(value_coeffs) < self.threshold + 1:
-            value_coeffs.append(self.field.zero())
-        while len(blind_coeffs) < self.threshold + 1:
-            blind_coeffs.append(self.field.zero())
+        value_coeffs, values = self._deal(secret, rng)
+        blind_coeffs, blindings = self._deal(self.field.random(rng), rng)
         commitments = tuple(
-            (self.parameters.g ** a.value) * (self.parameters.h ** b.value)
+            (self.parameters.g ** a) * (self.parameters.h ** b)
             for a, b in zip(value_coeffs, blind_coeffs, strict=True)
         )
         shares = {
-            i: PedersenShare(
-                x=i, value=value_shares[i].value, blinding=blind_shares[i].value
-            )
-            for i in range(1, self.parties + 1)
+            i: PedersenShare(x=i, value=value, blinding=blinding)
+            for i, (value, blinding) in enumerate(zip(values, blindings, strict=True), 1)
         }
         return PedersenDealing(commitments=commitments, shares=shares)
 
@@ -267,7 +260,7 @@ class PedersenVSS(_VerifiableSharing):
                 _obs.metrics.inc("crypto.vss.shares_rejected")
             return False
         expected = _expected_from_commitments(self.group, commitments, share.x)
-        actual = self.scheme.commit_with_randomness(share.value.value, share.blinding.value)
+        actual = self.scheme.commit_with_randomness(share.value, share.blinding)
         ok = actual == expected
         if not ok and _obs.metrics is not None:
             _obs.metrics.inc("crypto.vss.shares_rejected")
@@ -275,7 +268,7 @@ class PedersenVSS(_VerifiableSharing):
 
     @staticmethod
     def _share_key(share: PedersenShare) -> Tuple:
-        return (share.x, share.value.value, share.blinding.value)
+        return (share.x, share.value, share.blinding)
 
     def _batch_verdicts(
         self, commitment_values: List[int], shares: List[PedersenShare]
@@ -283,8 +276,8 @@ class PedersenVSS(_VerifiableSharing):
         group = self.group
         g = self.parameters.g.value
         h = self.parameters.h.value
-        values = [group.normalize_exponent(s.value.value) for s in shares]
-        blindings = [group.normalize_exponent(s.blinding.value) for s in shares]
+        values = [group.normalize_exponent(s.value) for s in shares]
+        blindings = [group.normalize_exponent(s.blinding) for s in shares]
         xs = [s.x for s in shares]
         if fastpath.pedersen_vss_batch_verify(
             group.p, group.q, g, h, commitment_values, xs, values, blindings

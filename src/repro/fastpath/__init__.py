@@ -1,8 +1,8 @@
 """repro.fastpath — the arithmetic kernels behind the crypto layer.
 
 The crypto layer (:mod:`repro.crypto.group`, ``commitment``, ``vss``,
-``polynomial``, ``secret_sharing``) routes its inner loops through these
-kernels; there is no other path.  Every kernel computes *exactly* the
+``secret_sharing``) routes its inner loops through these kernels; there
+is no other path.  Every kernel computes *exactly* the
 value of the textbook formula it implements — see :mod:`.kernels` for
 the per-kernel equivalence argument and DESIGN.md §7 for the cache
 rules.  The textbook loops themselves live on as test oracles in

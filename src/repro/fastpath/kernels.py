@@ -26,10 +26,9 @@ textbook loops the property tests compare against):
   :func:`multi_pow` over the explicitly reduced exponents, which follows
   the textbook product digit for digit.
 * **Horner's rule on field ints** (:func:`shamir_points`): a Shamir
-  dealing evaluates its polynomial at ``x = 1..n``.  The loop is
-  ``Polynomial.__call__``'s, step for step (``acc = acc * x + c``,
-  reduced mod ``p`` after each step), on plain ints instead of boxed
-  ``FieldElement`` values, so every share is the same residue.
+  dealing evaluates its polynomial at ``x = 1..n``, each point by
+  Horner's rule (``acc = acc * x + c``, reduced mod ``p`` after each
+  step), which is the textbook per-point evaluation step for step.
 
 Cache policy: tables are built per ``(p, base)`` after a base has been
 seen :data:`PROMOTION_THRESHOLD` times (or eagerly via
@@ -322,10 +321,9 @@ def pedersen_commit(p: int, q: int, g: int, h: int, value: int, randomness: int)
 def shamir_points(modulus: int, coefficients: Sequence[int], count: int) -> List[int]:
     """``[f(1), ..., f(count)]`` mod ``modulus`` for ``f(x) = sum_j coefficients[j] * x**j``.
 
-    Horner's rule on ints, reducing after every step exactly as the boxed
-    ``Polynomial.__call__`` does; coefficients are residues in
-    ``[0, modulus)``, lowest degree first.  No coefficients (the zero
-    polynomial) gives all zeros.
+    Horner's rule on ints, reducing after every step; coefficients are
+    residues in ``[0, modulus)``, lowest degree first.  No coefficients
+    (the zero polynomial) gives all zeros.
     """
     highest_first = coefficients[::-1]
     points = []

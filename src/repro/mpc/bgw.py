@@ -29,8 +29,7 @@ import weakref
 from operator import mul
 from typing import Container, Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
-from ..crypto.polynomial import lagrange_coefficients_at_zero
-from ..crypto.secret_sharing import ShamirSharing, Share
+from ..crypto.secret_sharing import ShamirSharing, Share, lagrange_coefficients_at_zero
 from ..errors import InvalidParameterError, ShareError
 from ..net.message import send
 from ..obs import runtime as _obs
@@ -46,8 +45,8 @@ class Round(NamedTuple):
     Attributes:
         local: the round's ``ADD``/``SUB``/``SCALE`` gates in gate order,
             as ``(op, gate id, left operand, right operand or scalar)``.
-        charge: the ``crypto.field.mul`` the boxed operators charged for
-            the round's local work: one per ``SCALE`` and one per product.
+        charge: the round's local ``crypto.field.mul``: one per ``SCALE``
+            and one per product.
         muls: the batch's ``MUL`` gates in gate order, as ``(gate id, left
             operand, right operand)``; empty only in a final round of local
             gates, which a schedule lacks when its deepest gates are
@@ -144,8 +143,8 @@ def recombine(field_, lagrange: Sequence[int], received: Sequence[int]) -> int:
     The degree-reduction step: party ``j`` reshared its degree-2t product
     share, and the Lagrange coefficients at zero for ``x = 1..n`` (as ints)
     recombine the subshares (party ``j``'s at index ``j - 1``) into a
-    degree-t share of the product, returned as its residue.  Charged at
-    the boxed loop's cost, one multiplication per party.
+    degree-t share of the product, returned as its residue.  Charges one
+    ``crypto.field.mul`` per party.
     """
     if _obs.metrics is not None:
         _obs.metrics.inc("crypto.field.mul", len(lagrange))
@@ -201,7 +200,7 @@ def bgw_evaluate(
         instance: message-tag namespace.
 
     Returns:
-        list of field values, one per circuit output (identical at every
+        list of residues, one per circuit output (identical at every
         honest party).
     """
     n = ctx.n
@@ -215,13 +214,11 @@ def bgw_evaluate(
     mul_tag = f"bgw:{instance}:mul"
     out_tag = f"bgw:{instance}:out"
     modulus = field_.modulus
-    lagrange = [c.value for c in lagrange_coefficients_at_zero(field_, range(1, n + 1))]
+    lagrange = lagrange_coefficients_at_zero(field_, range(1, n + 1))
 
     # ---- round 1: share inputs ---------------------------------------------------
     my_wires = circuit.inputs_of(ctx.party_id)
-    dealt = [
-        sharing.deal(field_.residue(my_inputs.get(name, 0)), rng)[1] for name, _ in my_wires
-    ]
+    dealt = [sharing.deal(my_inputs.get(name, 0) % modulus, rng)[1] for name, _ in my_wires]
     if _obs.metrics is not None:
         _obs.metrics.inc("mpc.bgw.evaluations")
         _obs.metrics.inc("mpc.bgw.input_wires_shared", len(my_wires))
@@ -284,9 +281,7 @@ def bgw_evaluate(
             by_sender[sender] = raw
 
     return [
-        sharing.reconstruct(
-            [Share(sender, field_.element(raw)) for sender, raw in by_sender.items()]
-        )
+        sharing.reconstruct([Share(sender, raw % modulus) for sender, raw in by_sender.items()])
         for by_sender in collected.values()
     ]
 
@@ -308,4 +303,4 @@ class BGWProtocol:
         outputs = yield from bgw_evaluate(
             ctx, self.circuit, dict(value or {}), self.t
         )
-        return tuple(int(v) for v in outputs)
+        return tuple(outputs)

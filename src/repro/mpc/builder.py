@@ -3,7 +3,7 @@
 Wraps :class:`repro.mpc.circuit.Circuit` with the boolean idioms needed to
 compile the function ``g`` of Lemma 6.4: XOR, NOT and the Lagrange
 equality indicator for small sums.  Bits are represented as
-field elements in {0, 1}; the helpers assume their arguments are bits.
+field residues in {0, 1}; the helpers assume their arguments are bits.
 """
 
 from __future__ import annotations
@@ -86,7 +86,9 @@ class CircuitBuilder:
         """Indicator bit for ``wire == target`` given ``wire`` in [0, max_value].
 
         Uses the Lagrange indicator polynomial over the points 0..max_value,
-        so the field modulus must exceed ``max_value``.
+        so the field modulus must exceed ``max_value``.  Its public
+        denominator is computed on residues while the circuit is built, so
+        building charges no counter.
         """
         field_ = self.circuit.field
         if max_value >= field_.modulus:
@@ -97,16 +99,16 @@ class CircuitBuilder:
             raise InvalidParameterError("target outside declared range")
         # indicator(w) = prod_{v != target} (w - v) / (target - v)
         numerator = None
-        denominator = field_.one()
+        denominator = 1
         for v in range(max_value + 1):
             if v == target:
                 continue
             term = self.sub(wire, self.const(v))
             numerator = term if numerator is None else self.mul(numerator, term)
-            denominator = denominator * (field_.element(target) - field_.element(v))
+            denominator = denominator * (target - v) % field_.modulus
         if numerator is None:  # max_value == 0 and target == 0
             return self.one
-        return self.scale(numerator, int(denominator.inverse()))
+        return self.scale(numerator, field_.inverse(denominator))
 
     def output(self, wire: int) -> None:
         self.circuit.mark_output(wire)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..crypto.field import FieldElement, PrimeField
+from ..crypto.field import PrimeField
 from ..errors import InvalidParameterError
 
 INPUT = "input"
@@ -42,7 +42,7 @@ class Gate:
         args: ids of argument gates (empty for INPUT/CONST).
         owner: owning party for INPUT gates.
         name: input wire name (unique per owner) for INPUT gates.
-        constant: field value for CONST, or the scalar for SCALE.
+        constant: residue for CONST, or the scalar for SCALE.
     """
 
     op: str
@@ -80,7 +80,7 @@ class Circuit:
         return gate_id
 
     def const(self, value: int) -> int:
-        return self._append(Gate(op=CONST, constant=int(self.field.element(value))))
+        return self._append(Gate(op=CONST, constant=value % self.field.modulus))
 
     def add(self, a: int, b: int) -> int:
         return self._append(Gate(op=ADD, args=(a, b)))
@@ -92,9 +92,7 @@ class Circuit:
         return self._append(Gate(op=MUL, args=(a, b)))
 
     def scale(self, a: int, scalar: int) -> int:
-        return self._append(
-            Gate(op=SCALE, args=(a,), constant=int(self.field.element(scalar)))
-        )
+        return self._append(Gate(op=SCALE, args=(a,), constant=scalar % self.field.modulus))
 
     def mark_output(self, gate_id: int) -> None:
         if not 0 <= gate_id < len(self.gates):
@@ -124,27 +122,30 @@ class Circuit:
 
     # -- reference evaluation ------------------------------------------------------
 
-    def evaluate(self, inputs: Dict[Tuple[int, str], int]) -> List[FieldElement]:
+    def evaluate(self, inputs: Dict[Tuple[int, str], int]) -> List[int]:
         """Evaluate in the clear; ``inputs`` maps (owner, name) -> value.
 
-        Missing inputs default to 0, matching the protocol convention for
-        absent contributions.
+        Returns one residue per output.  Missing inputs default to 0,
+        matching the protocol convention for absent contributions.  This
+        is the reference the BGW evaluation is checked against, not a
+        protocol step, so it charges no counter.
         """
-        values: List[FieldElement] = []
+        modulus = self.field.modulus
+        values: List[int] = []
         for gate in self.gates:
             if gate.op == INPUT:
-                raw = inputs.get((gate.owner, gate.name), 0)
-                values.append(self.field.element(raw))
+                value = inputs.get((gate.owner, gate.name), 0)
             elif gate.op == CONST:
-                values.append(self.field.element(gate.constant))
+                value = gate.constant
             elif gate.op == ADD:
-                values.append(values[gate.args[0]] + values[gate.args[1]])
+                value = values[gate.args[0]] + values[gate.args[1]]
             elif gate.op == SUB:
-                values.append(values[gate.args[0]] - values[gate.args[1]])
+                value = values[gate.args[0]] - values[gate.args[1]]
             elif gate.op == MUL:
-                values.append(values[gate.args[0]] * values[gate.args[1]])
+                value = values[gate.args[0]] * values[gate.args[1]]
             elif gate.op == SCALE:
-                values.append(values[gate.args[0]] * self.field.element(gate.constant))
+                value = values[gate.args[0]] * gate.constant
             else:  # pragma: no cover - _OPS is closed
                 raise InvalidParameterError(f"unknown op {gate.op}")
+            values.append(value % modulus)
         return [values[o] for o in self.outputs]

@@ -87,17 +87,17 @@ class CGMABroadcast(ParallelBroadcastProtocol):
 
     def _serialize_share(self, share) -> object:
         if self.vss_flavor == "pedersen":
-            return (int(share.value), int(share.blinding))
-        return int(share.value)
+            return (share.value, share.blinding)
+        return share.value
 
     def _parse_share(self, vss, x: int, payload) -> object:
+        """A received share, its residues reduced mod q; None if malformed."""
+        q = vss.field.modulus
         try:
             if self.vss_flavor == "pedersen":
                 value, blinding = payload
-                return PedersenShare(
-                    x, vss.field.element(int(value)), vss.field.element(int(blinding))
-                )
-            return Share(x, vss.field.element(int(payload)))
+                return PedersenShare(x, int(value) % q, int(blinding) % q)
+            return Share(x, int(payload) % q)
         except (TypeError, ValueError):
             return None
 
@@ -251,7 +251,7 @@ class CGMABroadcast(ParallelBroadcastProtocol):
             except ShareError:
                 announced.append(DEFAULT_BIT)
                 continue
-            announced.append(coerce_bit(int(secret)))
+            announced.append(coerce_bit(secret))
         return tuple(announced)
 
 

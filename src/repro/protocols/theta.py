@@ -72,4 +72,4 @@ class ThetaProtocol(ParallelBroadcastProtocol):
             self.t,
             instance="theta",
         )
-        return tuple(coerce_bit(int(v)) for v in outputs)
+        return tuple(coerce_bit(v) for v in outputs)

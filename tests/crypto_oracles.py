@@ -11,20 +11,18 @@ built-in ``pow`` per term, no tables and no caches.  The property tests in
 
 The group oracles charge no ``crypto.group.exp`` counts (``GroupElement``
 multiplication still charges ``crypto.group.mul``), so run them outside an
-observed registry.  The field oracles at the end are the boxed
-``FieldElement`` loops that Shamir sharing and BGW's degree reduction
-replaced with int arithmetic; every boxed multiplication charges
-``crypto.field.mul``, so their totals are the counts production must
-charge.
+observed registry.  The field oracles at the end are the textbook GF(p)
+loops of Shamir sharing and BGW's degree reduction, on int residues mod
+``p``: each one that multiplies returns its value and the number of
+products it performed, counted one at a time inside its loop, and that
+count is what production must charge as ``crypto.field.mul``.
 """
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from repro.crypto.commitment import PedersenParameters
-from repro.crypto.field import FieldElement, PrimeField
 from repro.crypto.group import GroupElement, SchnorrGroup
-from repro.crypto.polynomial import Polynomial
-from repro.crypto.secret_sharing import ShamirSharing, Share
+from repro.crypto.secret_sharing import Share
 
 
 def group_exp(element: GroupElement, exponent) -> GroupElement:
@@ -50,44 +48,69 @@ def vss_expected(
     return expected
 
 
-def lagrange_coefficients_at_zero(
-    field: PrimeField, xs: Sequence[int]
-) -> Tuple[FieldElement, ...]:
-    """Lagrange coefficients at zero for the points ``xs``, uncached."""
-    points = [field.element(x) for x in xs]
-    coefficients = []
+def shamir_coefficients(p: int, degree: int, rng, secret: int) -> List[int]:
+    """A dealing's coefficients, lowest degree first: ``degree + 1`` draws of
+    ``rng.randrange(p)``, the first replaced by ``secret``, then every
+    trailing zero dropped.  It multiplies nothing."""
+    coefficients = [rng.randrange(p) for _ in range(degree + 1)]
+    coefficients[0] = secret
+    while coefficients and coefficients[-1] == 0:
+        del coefficients[-1]
+    return coefficients
+
+
+def shamir_shares(p: int, coefficients: Sequence[int], parties: int) -> Tuple[List[int], int]:
+    """``[f(1), ..., f(parties)]``, each point by its own Horner loop, and the products."""
+    points, products = [], 0
+    for x in range(1, parties + 1):
+        value = 0
+        for coefficient in reversed(coefficients):
+            value = (value * x + coefficient) % p
+            products += 1
+        points.append(value)
+    return points, products
+
+
+def lagrange_coefficients_at_zero(p: int, xs: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
+    """The Lagrange coefficients at zero for the points ``xs``, uncached, and the products.
+
+    Coefficient i is ``prod_{j != i} (0 - x_j) / (x_i - x_j)``: two
+    products per other point, then one ``pow(d, -1, p)`` and one product
+    for the division.
+    """
+    points = [x % p for x in xs]
+    coefficients, products = [], 0
     for i, xi in enumerate(points):
-        numerator = field.one()
-        denominator = field.one()
+        numerator = denominator = 1
         for j, xj in enumerate(points):
             if i == j:
                 continue
-            numerator = numerator * (-xj)
-            denominator = denominator * (xi - xj)
-        coefficients.append(numerator / denominator)
-    return tuple(coefficients)
+            numerator = numerator * (0 - xj) % p
+            products += 1
+            denominator = denominator * (xi - xj) % p
+            products += 1
+        coefficients.append(numerator * pow(denominator, -1, p) % p)
+        products += 1
+    return tuple(coefficients), products
 
 
-def shamir_shares(polynomial: Polynomial, parties: int) -> Dict[int, Share]:
-    """The dealing's shares by Horner's rule on boxed elements (``Polynomial.__call__``)."""
-    return {i: Share(i, polynomial(i)) for i in range(1, parties + 1)}
-
-
-def shamir_reconstruct(sharing: ShamirSharing, shares: Iterable[Share]) -> FieldElement:
-    """The secret of the first threshold+1 shares, as a boxed Lagrange sum."""
-    subset = list(shares)[: sharing.threshold + 1]
-    coefficients = lagrange_coefficients_at_zero(sharing.field, [s.x for s in subset])
-    secret = sharing.field.zero()
+def shamir_reconstruct(p: int, threshold: int, shares: Iterable[Share]) -> Tuple[int, int]:
+    """The secret of the first threshold+1 shares, as a Lagrange sum, and the products."""
+    subset = list(shares)[: threshold + 1]
+    coefficients, products = lagrange_coefficients_at_zero(p, [s.x for s in subset])
+    secret = 0
     for coefficient, share in zip(coefficients, subset, strict=True):
-        secret = secret + coefficient * share.value
-    return secret
+        secret = (secret + coefficient * share.value) % p
+        products += 1
+    return secret, products
 
 
 def bgw_recombine(
-    field: PrimeField, lagrange: Sequence[FieldElement], received: Mapping[int, FieldElement]
-) -> FieldElement:
-    """BGW's degree reduction, boxed: ``sum_j lagrange[j-1] * received[j]``."""
-    reduced = field.zero()
+    p: int, lagrange: Sequence[int], received: Mapping[int, int]
+) -> Tuple[int, int]:
+    """BGW's degree reduction, ``sum_j lagrange[j-1] * received[j]``, and the products."""
+    reduced, products = 0, 0
     for j in range(1, len(lagrange) + 1):
-        reduced = reduced + lagrange[j - 1] * received[j]
-    return reduced
+        reduced = (reduced + lagrange[j - 1] * received[j]) % p
+        products += 1
+    return reduced, products

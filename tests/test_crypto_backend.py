@@ -142,7 +142,7 @@ class TestBatchSoundness:
         dealing = vss.deal(rng.randrange(group.q), rng)
         xs = list(range(1, self.M + 1))
         values = [
-            group.normalize_exponent(dealing.shares[x].value.value) for x in xs
+            group.normalize_exponent(dealing.shares[x].value) for x in xs
         ]
         commitments = [c.value for c in dealing.commitments]
         assert feldman_batch_verify(
@@ -161,10 +161,10 @@ class TestBatchSoundness:
         dealing = vss.deal(rng.randrange(group.q), rng)
         xs = list(range(1, self.M + 1))
         values = [
-            group.normalize_exponent(dealing.shares[x].value.value) for x in xs
+            group.normalize_exponent(dealing.shares[x].value) for x in xs
         ]
         blinds = [
-            group.normalize_exponent(dealing.shares[x].blinding.value) for x in xs
+            group.normalize_exponent(dealing.shares[x].blinding) for x in xs
         ]
         commitments = [c.value for c in dealing.commitments]
         assert pedersen_vss_batch_verify(
@@ -239,7 +239,7 @@ class TestBatchedVerdictEquivalence:
         dealing = vss.deal(rng.randrange(group.q), rng)
         shares = [dealing.shares[x] for x in range(1, 11)]
         bad = shares[4]
-        shares[4] = type(bad)(x=bad.x, value=bad.value + bad.value.field.one())
+        shares[4] = type(bad)(x=bad.x, value=(bad.value + 1) % group.q)
         want = [vss.verify_share(dealing.commitments, s) for s in shares]
         assert vss.verify_shares(dealing.commitments, shares) == want
         assert want.count(False) == 1
@@ -252,7 +252,7 @@ class TestBatchedVerdictEquivalence:
         shares = [dealing.shares[x] for x in range(1, 11)]
         bad = shares[7]
         shares[7] = type(bad)(
-            x=bad.x, value=bad.value, blinding=bad.blinding + bad.blinding.field.one()
+            x=bad.x, value=bad.value, blinding=(bad.blinding + 1) % group.q
         )
         want = [vss.verify_share(dealing.commitments, s) for s in shares]
         assert vss.verify_shares(dealing.commitments, shares) == want

@@ -56,86 +56,25 @@ class TestFieldConstruction:
     def test_hashable(self):
         assert len({PrimeField(97), PrimeField(97), F7}) == 2
 
-    def test_element_reduction(self):
-        assert F7.element(10).value == 3
-        assert F7.element(-1).value == 6
-
-    def test_cross_field_coercion_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            F97.element(F7.element(3))
-
-    def test_contains(self):
-        assert F7.element(1) in F7
-        assert F97.element(1) not in F7
-
 
 class TestFieldArithmetic:
-    @given(f97_ints, f97_ints)
-    def test_addition_commutes(self, a, b):
-        assert F97.element(a) + F97.element(b) == F97.element(b) + F97.element(a)
-
-    @given(f97_ints, f97_ints, f97_ints)
-    def test_distributivity(self, a, b, c):
-        x, y, z = F97.element(a), F97.element(b), F97.element(c)
-        assert x * (y + z) == x * y + x * z
-
-    @given(f97_ints)
-    def test_additive_inverse(self, a):
-        x = F97.element(a)
-        assert (x + (-x)).value == 0
-
     @given(f97_ints.filter(lambda v: v % 97 != 0))
     def test_multiplicative_inverse(self, a):
-        x = F97.element(a)
-        assert (x * x.inverse()).value == 1
+        inverse = F97.inverse(a)
+        assert 0 <= inverse < 97
+        assert a * inverse % 97 == 1
 
     def test_zero_inverse_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            F97.zero().inverse()
-
-    def test_division(self):
-        assert F7.element(6) / F7.element(2) == F7.element(3)
-
-    def test_right_operators_with_ints(self):
-        assert 1 + F7.element(2) == F7.element(3)
-        assert 1 - F7.element(2) == F7.element(6)
-        assert 3 * F7.element(3) == F7.element(2)
-        assert 6 / F7.element(2) == F7.element(3)
-
-    @given(f97_ints, st.integers(min_value=0, max_value=200))
-    def test_pow_matches_repeated_multiplication(self, a, e):
-        x = F97.element(a)
-        expected = F97.one()
-        for _ in range(e % 12):
-            expected = expected * x
-        assert x ** (e % 12) == expected
-
-    def test_negative_power_is_inverse_power(self):
-        x = F97.element(5)
-        assert x ** -2 == (x.inverse()) ** 2
-
-    def test_fermat_little_theorem(self):
-        for value in range(1, 7):
-            assert F7.element(value) ** 6 == F7.one()
-
-    def test_int_and_bool_conversion(self):
-        assert int(F7.element(3)) == 3
-        assert bool(F7.element(3))
-        assert not bool(F7.zero())
+        for zero in (0, 97, -194):
+            with pytest.raises(ZeroDivisionError):
+                F97.inverse(zero)
 
     def test_random_elements_in_range(self):
-        rng = random.Random(1)
+        rng, reference = random.Random(1), random.Random(1)
         for _ in range(50):
-            assert 0 <= F97.random(rng).value < 97
+            value = F97.random(rng)
+            assert type(value) is int and 0 <= value < 97
+            assert value == reference.randrange(97)  # one draw per value
 
     def test_repr_mentions_modulus(self):
-        assert "97" in repr(F97.element(5))
         assert "GF(97)" == repr(F97)
-
-    def test_equality_against_int(self):
-        assert F7.element(3) == 3
-        assert F7.element(3) == 10  # reduced mod 7
-        assert F7.element(3) != 4
-
-    def test_elements_are_hashable_values(self):
-        assert len({F7.element(3), F7.element(10)}) == 1

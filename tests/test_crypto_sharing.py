@@ -1,4 +1,4 @@
-"""Tests for Shamir sharing and both VSS schemes."""
+"""Tests for Shamir sharing, Lagrange coefficients and both VSS schemes."""
 
 import dataclasses
 import random
@@ -11,7 +11,7 @@ from repro import fastpath
 from repro.crypto.commitment import PedersenParameters
 from repro.crypto.field import PrimeField
 from repro.crypto.group import SchnorrGroup
-from repro.crypto.secret_sharing import ShamirSharing, Share
+from repro.crypto.secret_sharing import ShamirSharing, Share, lagrange_coefficients_at_zero
 from repro.crypto.vss import FeldmanVSS, PedersenVSS
 from repro.errors import InvalidParameterError, ShareError
 from repro.obs import Metrics
@@ -20,6 +20,36 @@ from repro.obs import runtime as obs_runtime
 F = PrimeField(101)
 GROUP = SchnorrGroup.for_security(24)
 PARAMS = PedersenParameters.generate(GROUP)
+
+
+def _shares(scheme, secret, rng):
+    """One dealing of ``secret``: each party's share, by party."""
+    _, points = scheme.deal(secret, rng)
+    return {x: Share(x, y) for x, y in enumerate(points, 1)}
+
+
+class TestInterpolation:
+    def test_coefficients_at_zero_match_interpolation(self):
+        rng = random.Random(3)
+        coefficients = [rng.randrange(101) for _ in range(5)]  # degree 4
+        xs = [1, 2, 3, 4, 5]
+        lambdas = lagrange_coefficients_at_zero(F, xs)
+        total = 0
+        for lam, x in zip(lambdas, xs, strict=True):
+            total += lam * sum(c * x**k for k, c in enumerate(coefficients))
+        assert total % 101 == coefficients[0]
+
+    def test_coefficients_duplicate_x_rejected(self):
+        with pytest.raises(ShareError):
+            lagrange_coefficients_at_zero(F, [1, 1, 2])
+        with pytest.raises(ShareError):  # the same point mod 101
+            lagrange_coefficients_at_zero(F, [1, 102])
+
+    def test_coefficients_sum_to_one(self):
+        # Interpolating the constant-1 polynomial must give exactly 1.
+        lambdas = lagrange_coefficients_at_zero(F, [2, 4, 6])
+        assert all(type(lam) is int and 0 <= lam < 101 for lam in lambdas)
+        assert sum(lambdas) % 101 == 1
 
 
 class TestShamir:
@@ -40,26 +70,26 @@ class TestShamir:
     @settings(max_examples=30, deadline=None)
     def test_share_reconstruct_roundtrip(self, secret, seed):
         scheme = ShamirSharing(F, 2, 5)
-        _, shares = scheme.share(secret, random.Random(seed))
-        assert scheme.reconstruct(list(shares.values())[:3]) == F.element(secret)
+        shares = _shares(scheme, secret, random.Random(seed))
+        assert scheme.reconstruct(list(shares.values())[:3]) == secret
 
     def test_any_quorum_reconstructs(self):
         scheme = ShamirSharing(F, 2, 5)
-        _, shares = scheme.share(42, random.Random(1))
+        shares = _shares(scheme, 42, random.Random(1))
         import itertools
 
         for subset in itertools.combinations(shares.values(), 3):
-            assert scheme.reconstruct(subset) == F.element(42)
+            assert scheme.reconstruct(subset) == 42
 
     def test_too_few_shares_rejected(self):
         scheme = ShamirSharing(F, 2, 5)
-        _, shares = scheme.share(42, random.Random(1))
+        shares = _shares(scheme, 42, random.Random(1))
         with pytest.raises(ShareError):
             scheme.reconstruct(list(shares.values())[:2])
 
     def test_duplicate_shares_rejected(self):
         scheme = ShamirSharing(F, 1, 4)
-        _, shares = scheme.share(9, random.Random(1))
+        shares = _shares(scheme, 9, random.Random(1))
         with pytest.raises(ShareError):
             scheme.reconstruct([shares[1], shares[1], shares[2]])
 
@@ -71,8 +101,7 @@ class TestShamir:
         counts = {0: {}, 1: {}}
         for secret in (0, 1):
             for seed in range(400):
-                _, shares = scheme.share(secret, random.Random(seed))
-                value = shares[1].value.value
+                value = _shares(scheme, secret, random.Random(seed))[1].value
                 counts[secret][value] = counts[secret].get(value, 0) + 1
         # Total variation between the two share distributions should be small.
         support = set(counts[0]) | set(counts[1])
@@ -83,17 +112,17 @@ class TestShamir:
 
     def test_linear_homomorphism(self):
         scheme = ShamirSharing(F, 2, 5)
-        _, shares_a = scheme.share(10, random.Random(1))
-        _, shares_b = scheme.share(20, random.Random(2))
+        shares_a = _shares(scheme, 10, random.Random(1))
+        shares_b = _shares(scheme, 20, random.Random(2))
         # Shares add pointwise: BGW's local ADD gates rely on it.
-        summed = [Share(i, shares_a[i].value + shares_b[i].value) for i in range(1, 6)]
-        assert scheme.reconstruct(summed[:3]) == F.element(30)
+        summed = [Share(i, (shares_a[i].value + shares_b[i].value) % 101) for i in range(1, 6)]
+        assert scheme.reconstruct(summed[:3]) == 30
 
     def test_scaling_homomorphism(self):
         scheme = ShamirSharing(F, 2, 5)
-        _, shares = scheme.share(10, random.Random(1))
-        scaled = [Share(i, shares[i].value * 5) for i in range(1, 6)]
-        assert scheme.reconstruct(scaled[:3]) == F.element(50)
+        shares = _shares(scheme, 10, random.Random(1))
+        scaled = [Share(i, shares[i].value * 5 % 101) for i in range(1, 6)]
+        assert scheme.reconstruct(scaled[:3]) == 50
 
 
 class TestFeldmanVSS:
@@ -109,7 +138,7 @@ class TestFeldmanVSS:
     def test_tampered_share_rejected(self):
         dealing = self.vss.deal(1, random.Random(3))
         share = dealing.shares[2]
-        tampered = Share(share.x, share.value + 1)
+        tampered = Share(share.x, (share.value + 1) % GROUP.q)
         assert not self.vss.verify_share(dealing.commitments, tampered)
 
     def test_wrong_commitment_vector_length_rejected(self):
@@ -121,13 +150,13 @@ class TestFeldmanVSS:
     def test_reconstruct_ignores_bad_shares(self):
         dealing = self.vss.deal(1, random.Random(4))
         shares = list(dealing.shares.values())
-        shares[0] = Share(shares[0].x, shares[0].value + 1)  # corrupted
+        shares[0] = Share(shares[0].x, (shares[0].value + 1) % GROUP.q)  # corrupted
         secret = self.vss.reconstruct(dealing.commitments, shares)
-        assert secret == GROUP.exponent_field.element(1)
+        assert secret == 1
 
     def test_reconstruct_insufficient_valid_shares(self):
         dealing = self.vss.deal(1, random.Random(4))
-        shares = [Share(s.x, s.value + 1) for s in dealing.shares.values()]
+        shares = [Share(s.x, (s.value + 1) % GROUP.q) for s in dealing.shares.values()]
         with pytest.raises(ShareError):
             self.vss.reconstruct(dealing.commitments, shares)
 
@@ -143,7 +172,7 @@ class TestFeldmanVSS:
         secret = self.vss.reconstruct(
             dealing.commitments, list(dealing.shares.values())
         )
-        assert secret.value == bit
+        assert secret == bit
 
 
 class TestPedersenVSS:
@@ -160,7 +189,7 @@ class TestPedersenVSS:
 
         dealing = self.vss.deal(1, random.Random(8))
         share = dealing.shares[3]
-        tampered = PedersenShare(share.x, share.value + 1, share.blinding)
+        tampered = PedersenShare(share.x, (share.value + 1) % GROUP.q, share.blinding)
         assert not self.vss.verify_share(dealing.commitments, tampered)
 
     def test_tampered_blinding_rejected(self):
@@ -168,7 +197,7 @@ class TestPedersenVSS:
 
         dealing = self.vss.deal(1, random.Random(8))
         share = dealing.shares[3]
-        tampered = PedersenShare(share.x, share.value, share.blinding + 1)
+        tampered = PedersenShare(share.x, share.value, (share.blinding + 1) % GROUP.q)
         assert not self.vss.verify_share(dealing.commitments, tampered)
 
     def test_reconstruct(self):
@@ -176,12 +205,12 @@ class TestPedersenVSS:
         secret = self.vss.reconstruct(
             dealing.commitments, list(dealing.shares.values())
         )
-        assert secret.value == 1
+        assert secret == 1
 
     def test_reconstruct_with_minimum_quorum(self):
         dealing = self.vss.deal(1, random.Random(9))
         subset = [dealing.shares[i] for i in (2, 4, 5)]
-        assert self.vss.reconstruct(dealing.commitments, subset).value == 1
+        assert self.vss.reconstruct(dealing.commitments, subset) == 1
 
     def test_insufficient_shares_rejected(self):
         dealing = self.vss.deal(1, random.Random(9))
@@ -204,14 +233,14 @@ VSS_FLAVOURS = {
 
 
 def _bumped(share, field="value"):
-    return dataclasses.replace(share, **{field: getattr(share, field) + 1})
+    return dataclasses.replace(share, **{field: (getattr(share, field) + 1) % GROUP.q})
 
 
 def _observed_reconstruct(vss, commitments, shares):
     """The secret (or the ShareError) and the counters one reconstruct charged."""
     with obs_runtime.observed(metrics=Metrics()) as (_, metrics):
         try:
-            outcome = vss.reconstruct(commitments, shares).value
+            outcome = vss.reconstruct(commitments, shares)
         except ShareError as error:
             outcome = f"ShareError: {error}"
     return outcome, metrics.snapshot()

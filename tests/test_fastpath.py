@@ -30,10 +30,8 @@ from repro.crypto.group import (
     cached_safe_primes,
     seed_safe_primes,
 )
-from repro.crypto.polynomial import Polynomial, lagrange_coefficients_at_zero
-from repro.crypto.secret_sharing import ShamirSharing, Share
+from repro.crypto.secret_sharing import ShamirSharing, Share, lagrange_coefficients_at_zero
 from repro.crypto.vss import FeldmanVSS, PedersenVSS
-from repro.errors import InvalidParameterError
 from repro.mpc.bgw import BGWProtocol, recombine
 from repro.mpc.circuit import Circuit
 from repro.mpc.gfunc import g_reference
@@ -125,7 +123,7 @@ def test_vss_expected_matches_naive_product(bits, values, x):
 )
 def test_cached_lagrange_matches_uncached(bits, xs):
     field = GROUPS[bits].exponent_field
-    reference = oracles.lagrange_coefficients_at_zero(field, xs)
+    reference, _ = oracles.lagrange_coefficients_at_zero(field.modulus, xs)
     first = lagrange_coefficients_at_zero(field, xs)  # fills the memo
     second = lagrange_coefficients_at_zero(field, xs)  # hits the memo
     assert first == reference
@@ -141,10 +139,11 @@ def test_lagrange_cache_hit_charges_identical_field_muls():
         lagrange_coefficients_at_zero(field, xs)
     assert cold.snapshot()["counters"] == warm.snapshot()["counters"]
     m = len(xs)
-    assert warm.snapshot()["counters"]["crypto.field.mul"] == 2 * m * m - m
+    _, products = oracles.lagrange_coefficients_at_zero(field.modulus, xs)
+    assert warm.snapshot()["counters"]["crypto.field.mul"] == products == 2 * m * m - m
 
 
-# -- unboxed GF(p) loops: Shamir sharing and BGW recombination -----------------------
+# -- GF(p) loops: Shamir sharing and BGW recombination -------------------------------
 
 #: BGW's small fields, where a zero top coefficient comes about once in p
 #: dealings, and a Mersenne prime where it almost never does.
@@ -152,7 +151,7 @@ FIELD_MODULI = (7, 11, 13, 2**61 - 1)
 
 
 class _ScriptedRng:
-    """Feeds a dealing (or ``Polynomial.random``) the coefficient draws a test chose."""
+    """Feeds a dealing (or the textbook draw) the coefficient draws a test chose."""
 
     def __init__(self, draws):
         self._draws = list(draws)
@@ -168,12 +167,12 @@ def _dealings(draw):
     degree = draw(st.integers(min_value=0, max_value=4))
     parties = draw(st.integers(min_value=degree + 1, max_value=min(p - 1, degree + 5)))
     residue = st.integers(min_value=0, max_value=p - 1)
-    # Zero is drawn often: a zero top coefficient is what Polynomial strips.
+    # Zero is drawn often: a zero top coefficient is what a dealing strips.
     maybe_zero = st.one_of(st.just(0), residue)
     secret = draw(maybe_zero)
     middle = draw(st.lists(residue, min_size=max(degree - 1, 0), max_size=max(degree - 1, 0)))
     top = [draw(maybe_zero)] if degree else []
-    # Polynomial.random draws degree+1 coefficients and overwrites the first.
+    # A dealing draws degree+1 coefficients and overwrites the first.
     return p, degree, parties, secret, [0, *middle, *top]
 
 
@@ -184,69 +183,53 @@ def _stripped(coefficients):
 
 
 def _counted(fn, *args):
+    """``fn(*args)`` and the ``crypto.field.mul`` it charged."""
     with _obs_runtime.observed(metrics=Metrics()) as (_, metrics):
         result = fn(*args)
-    return result, metrics.snapshot()
+    snapshot = metrics.snapshot()
+    assert set(snapshot["counters"]) <= {"crypto.field.mul"} and not snapshot["histograms"]
+    return result, snapshot["counters"].get("crypto.field.mul", 0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(dealing=_dealings(), data=st.data())
-def test_unboxed_field_loops_match_the_boxed_oracles(dealing, data):
-    """Shares (boxed, and the residues BGW sends), secrets, recombined BGW
-    shares and ``crypto.field.mul`` totals all equal the boxed loops',
-    stripped top coefficients included."""
+def test_field_loops_match_the_textbook_oracles(dealing, data):
+    """Dealt coefficients and shares, secrets and recombined BGW shares
+    equal the textbook loops', stripped top coefficients included, and
+    each charges ``crypto.field.mul`` with exactly the oracle's product
+    count."""
     p, degree, parties, secret, draws = dealing
     field = PrimeField(p)
     sharing = ShamirSharing(field, degree, parties)
-    oracle = Polynomial.random(field, degree, _ScriptedRng(draws), constant_term=secret)
-    expected, boxed = _counted(oracles.shamir_shares, oracle, parties)
-    assert [c.value for c in oracle.coefficients] == _stripped([secret, *draws[1:]])
-    (polynomial, shares), fast = _counted(sharing.share, secret, _ScriptedRng(draws))
-    assert polynomial == oracle
-    assert shares == expected
-    assert fast == boxed
-    # The residue dealing BGW sends: the same ints, stripped the same way.
-    (coefficients, points), fast = _counted(sharing.deal, secret, _ScriptedRng(draws))
-    assert coefficients == [c.value for c in oracle.coefficients]
-    assert points == [expected[i].value.value for i in range(1, parties + 1)]
-    assert fast == boxed
-    # ...drawing from a real generator exactly as often as Polynomial.random.
+    coefficients = oracles.shamir_coefficients(p, degree, _ScriptedRng(draws), secret)
+    assert coefficients == _stripped([secret, *draws[1:]])
+    expected, products = oracles.shamir_shares(p, coefficients, parties)
+    (dealt, points), charged = _counted(sharing.deal, secret, _ScriptedRng(draws))
+    assert dealt == coefficients
+    assert points == expected
+    assert charged == products
+    # ...drawing from a real generator exactly as often as the textbook draw.
     seed = data.draw(st.integers(min_value=0, max_value=2**64))
     dealer, reference = random.Random(seed), random.Random(seed)
-    coefficients, _ = sharing.deal(secret, dealer)
-    oracle = Polynomial.random(field, degree, reference, constant_term=secret)
-    assert coefficients == [c.value for c in oracle.coefficients]
+    dealt, _ = sharing.deal(secret, dealer)
+    assert dealt == oracles.shamir_coefficients(p, degree, reference, secret)
     assert dealer.getstate() == reference.getstate()
 
-    order = data.draw(st.permutations(list(shares.values())))
-    recovered, fast = _counted(sharing.reconstruct, order)
-    reference, boxed = _counted(oracles.shamir_reconstruct, sharing, order)
-    assert recovered == reference == field.element(secret)
-    assert fast == boxed
+    order = data.draw(st.permutations([Share(x, y) for x, y in enumerate(points, 1)]))
+    recovered, charged = _counted(sharing.reconstruct, order)
+    expected, products = oracles.shamir_reconstruct(p, degree, order)
+    assert type(recovered) is int and recovered == expected == secret
+    assert charged == products
 
     residue = st.integers(min_value=0, max_value=p - 1)
     received = {j: data.draw(residue) for j in range(1, parties + 1)}
-    lagrange = lagrange_coefficients_at_zero(field, range(1, parties + 1))
-    reduced, fast = _counted(
-        recombine, field, [c.value for c in lagrange], [received[j] for j in range(1, parties + 1)]
+    lagrange, _ = oracles.lagrange_coefficients_at_zero(p, range(1, parties + 1))
+    reduced, charged = _counted(
+        recombine, field, lagrange, [received[j] for j in range(1, parties + 1)]
     )
-    reference, boxed = _counted(
-        oracles.bgw_recombine,
-        field,
-        lagrange,
-        {j: field.element(value) for j, value in received.items()},
-    )
-    assert type(reduced) is int and reduced == reference.value
-    assert fast == boxed
-
-
-def test_reconstruct_rejects_a_share_from_another_field():
-    sharing = ShamirSharing(PrimeField(11), 1, 3)
-    _, shares = sharing.share(5, random.Random(1))
-    foreign = Share(2, PrimeField(13).element(shares[2].value.value))
-    for reconstruct in (sharing.reconstruct, lambda s: oracles.shamir_reconstruct(sharing, s)):
-        with pytest.raises(InvalidParameterError):
-            reconstruct([shares[1], foreign])
+    expected, products = oracles.bgw_recombine(p, lagrange, received)
+    assert type(reduced) is int and reduced == expected
+    assert charged == products
 
 
 # -- exponent normalization (satellite b) --------------------------------------------
@@ -259,9 +242,7 @@ def test_exponent_normalization_negative_and_oversized():
     assert g ** (group.q + 5) == g**5
     assert int(g**0) == 1
     assert group.power(-3) == group.power(group.q - 3)
-    element = group.exponent_field.element(7)
-    assert g**element == g**7  # FieldElement exponents normalize too
-    for exponent in (-1, -3, group.q + 5, 2 * group.q + 7, element):
+    for exponent in (-1, -3, group.q + 5, 2 * group.q + 7):
         assert g**exponent == oracles.group_exp(g, exponent)
 
 
@@ -288,24 +269,20 @@ def _crypto_workload(bits):
         feldman.verify_share(dealing.commitments, share)
         for share in dealing.shares.values()
     ]
-    values["feldman_secret"] = feldman.reconstruct(
-        dealing.commitments, dealing.shares.values()
-    ).value
+    values["feldman_secret"] = feldman.reconstruct(dealing.commitments, dealing.shares.values())
     pedersen = PedersenVSS(params, threshold=2, parties=5)
     pdealing = pedersen.deal(23, rng)
     values["pedersen"] = [
         pedersen.verify_share(pdealing.commitments, share)
         for share in pdealing.shares.values()
     ]
-    values["pedersen_secret"] = pedersen.reconstruct(
-        pdealing.commitments, pdealing.shares.values()
-    ).value
+    values["pedersen_secret"] = pedersen.reconstruct(pdealing.commitments, pdealing.shares.values())
     values["commitment"] = commitment.value
     values["commitments"] = [c.value for c in dealing.commitments]
     sharing = ShamirSharing(PrimeField(13), 2, 5)
-    _, shares = sharing.share(7, rng)
-    values["shamir"] = [share.value.value for share in shares.values()]
-    values["shamir_secret"] = sharing.reconstruct(list(shares.values())[1:]).value
+    _, values["shamir"] = sharing.deal(7, rng)
+    shares = [Share(x, y) for x, y in enumerate(values["shamir"], 1)]
+    values["shamir_secret"] = sharing.reconstruct(shares[1:])
     execution = run_protocol(
         BGWProtocol(_bgw_circuit(), n=3, t=1), BGW_INPUTS, seed=rng.randrange(2**32)
     )
@@ -329,58 +306,53 @@ def _oracle_workload(bits):
     rng = random.Random(1234)
     group = SchnorrGroup.for_security(bits)
     params = PedersenParameters.generate(group)
-    field = group.exponent_field
-    sharing = ShamirSharing(field, 2, 5)
+    q = group.q
 
-    def padded(polynomial):
-        coefficients = [c.value for c in polynomial.coefficients]
-        return coefficients + [0] * (3 - len(coefficients))
-
-    def secret(shares):
-        subset = list(shares)[:3]
-        lambdas = oracles.lagrange_coefficients_at_zero(field, [s.x for s in subset])
-        return sum(c * s.value for c, s in zip(lambdas, subset, strict=True)).value
+    def dealing(p, secret):
+        """A (2, 5) dealing: its coefficients padded with 0 to three, and its shares."""
+        coefficients = oracles.shamir_coefficients(p, 2, rng, secret)
+        points, _ = oracles.shamir_shares(p, coefficients, 5)
+        padded = coefficients + [0] * (3 - len(coefficients))
+        return padded, [Share(x, y) for x, y in enumerate(points, 1)]
 
     values = {}
     randomness = group.random_exponent(rng)  # PedersenCommitment.commit's one draw
     commitment = oracles.pedersen_commit(params, 41, randomness)
     values["verify"] = commitment == oracles.pedersen_commit(params, 41, randomness)
-    polynomial, shares = sharing.share(17, rng)
-    commitments = [oracles.group_exp(group.generator, a) for a in padded(polynomial)]
+    coefficients, shares = dealing(q, 17)
+    commitments = [oracles.group_exp(group.generator, a) for a in coefficients]
     values["feldman"] = [
-        oracles.group_exp(group.generator, s.value.value)
-        == oracles.vss_expected(group, commitments, s.x)
-        for s in shares.values()
+        oracles.group_exp(group.generator, s.value) == oracles.vss_expected(group, commitments, s.x)
+        for s in shares
     ]
-    values["feldman_secret"] = secret(shares.values())
-    value_poly, value_shares = sharing.share(23, rng)
-    blind_poly, blind_shares = sharing.share(field.random(rng), rng)
+    values["feldman_secret"], _ = oracles.shamir_reconstruct(q, 2, shares)
+    value_coefficients, value_shares = dealing(q, 23)
+    blind_coefficients, blind_shares = dealing(q, rng.randrange(q))  # the blinding secret first
     pedersen_commitments = [
         oracles.pedersen_commit(params, a, b)
-        for a, b in zip(padded(value_poly), padded(blind_poly), strict=True)
+        for a, b in zip(value_coefficients, blind_coefficients, strict=True)
     ]
     values["pedersen"] = [
-        oracles.pedersen_commit(params, value_shares[x].value.value, blind_shares[x].value.value)
-        == oracles.vss_expected(group, pedersen_commitments, x)
-        for x in value_shares
+        oracles.pedersen_commit(params, v.value, b.value)
+        == oracles.vss_expected(group, pedersen_commitments, v.x)
+        for v, b in zip(value_shares, blind_shares, strict=True)
     ]
-    values["pedersen_secret"] = secret(value_shares.values())
+    values["pedersen_secret"], _ = oracles.shamir_reconstruct(q, 2, value_shares)
     values["commitment"] = commitment.value
     values["commitments"] = [c.value for c in commitments]
-    small = ShamirSharing(PrimeField(13), 2, 5)
-    shamir = oracles.shamir_shares(Polynomial.random(small.field, 2, rng, constant_term=7), 5)
-    values["shamir"] = [share.value.value for share in shamir.values()]
-    values["shamir_secret"] = oracles.shamir_reconstruct(small, list(shamir.values())[1:]).value
+    _, shamir = dealing(13, 7)
+    values["shamir"] = [share.value for share in shamir]
+    values["shamir_secret"], _ = oracles.shamir_reconstruct(13, 2, shamir[1:])
     rng.randrange(2**32)  # the BGW run's seed
     clear = _bgw_circuit().evaluate({(i, "v"): v["v"] for i, v in enumerate(BGW_INPUTS, 1)})
-    values["bgw"] = {i: tuple(v.value for v in clear) for i in (1, 2, 3)}
+    values["bgw"] = {i: tuple(clear) for i in (1, 2, 3)}
     return values
 
 
 #: The counters of ``_crypto_workload(24)``: the logical cost model
-#: (textbook operation counts), independent of kernels and caches.  Taken
-#: with the boxed field loops; the Shamir dealing's degree-2 coefficient
-#: is 0, so its stripped polynomial charges 2 multiplications per share.
+#: (textbook operation counts), independent of kernels and caches.  The
+#: Shamir dealing's degree-2 coefficient is 0, so its stripped polynomial
+#: charges 2 multiplications per share.
 PINNED_WORKLOAD_COUNTERS = {
     "crypto.field.mul": 256,
     "crypto.group.exp": 103,
@@ -460,6 +432,15 @@ class _Coin:
 
     def randrange(self, stop):
         return self.bit
+
+
+def test_building_theta_over_bgw_charges_nothing():
+    """g's circuit is public: building it (the equality indicator's
+    denominator included) is no protocol operation, so it charges no
+    counter wherever the protocol object is built."""
+    with _obs_runtime.observed(metrics=Metrics()) as (_, metrics):
+        ThetaProtocol(n=5, t=2, backend="bgw")
+    assert metrics.snapshot()["counters"] == {}
 
 
 def test_theta_over_bgw_cost_model_pinned_on_every_gate_kind():

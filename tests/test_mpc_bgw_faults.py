@@ -39,10 +39,10 @@ class TestBGWFaults:
                     from repro.crypto.secret_sharing import ShamirSharing
 
                     sharing = ShamirSharing(F, 1, 3)
-                    _, shares = sharing.share(0, self.rng)
+                    _, shares = sharing.deal(0, self.rng)
                     return {
                         3: [
-                            send(j, ((2, int(shares[j].value)),), tag="bgw:bgw:in")
+                            send(j, ((2, shares[j - 1]),), tag="bgw:bgw:in")
                             for j in (1, 2, 3)
                         ]
                     }
@@ -129,10 +129,10 @@ class TestBGWFaults:
                     from repro.crypto.secret_sharing import ShamirSharing
 
                     sharing = ShamirSharing(F, 1, 3)
-                    _, shares = sharing.share(0, self.rng)
+                    _, shares = sharing.deal(0, self.rng)
                     return {
                         3: [
-                            send(j, ((2, int(shares[j].value)),), tag="bgw:bgw:in")
+                            send(j, ((2, shares[j - 1]),), tag="bgw:bgw:in")
                             for j in (1, 2, 3)
                         ]
                     }
